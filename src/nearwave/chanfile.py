@@ -8,6 +8,9 @@ float64 pairs (real, imaginary). The sidecar is the same path with a
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 HEADER_DTYPE = np.dtype("<i8")
@@ -36,16 +39,21 @@ def write_channel(path, values: np.ndarray, metadata: dict | None = None) -> Non
 
 
 def read_channel(path) -> np.ndarray:
-    """Read a tensor written by write_channel."""
+    """Read a tensor written by write_channel; a size the header does not declare raises."""
     with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(5 * HEADER_DTYPE.itemsize), dtype=HEADER_DTYPE)
+        head = fh.read(5 * HEADER_DTYPE.itemsize)
+        header = np.frombuffer(head, dtype=HEADER_DTYPE,
+                               count=len(head) // HEADER_DTYPE.itemsize)
         if header.size != 5 or np.any(header < 1):
             raise ValueError("corrupt channel file header")
         shape = tuple(int(n) for n in header)
-        count = 2 * int(np.prod(shape))
-        raw = np.frombuffer(fh.read(count * VALUE_DTYPE.itemsize), dtype=VALUE_DTYPE)
-    if raw.size != count:
-        raise ValueError("channel file truncated")
+        expected = 2 * math.prod(shape) * VALUE_DTYPE.itemsize
+        payload = os.fstat(fh.fileno()).st_size - len(head)
+        if payload != expected:
+            problem = "truncated" if payload < expected else "has trailing bytes"
+            raise ValueError(f"channel file {problem}: header extents {shape} need "
+                             f"{expected} payload bytes, file has {payload}")
+        raw = np.frombuffer(fh.read(expected), dtype=VALUE_DTYPE)
     return (raw[0::2] + 1j * raw[1::2]).reshape(shape)
 
 
@@ -56,12 +64,15 @@ def write_metadata(path, metadata: dict) -> None:
 
 
 def read_metadata(path) -> dict[str, str]:
+    """Parse flat "key = value" lines, skipping blanks and # comments; no "=" raises."""
     out: dict[str, str] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             out[key.strip()] = value.strip()
     return out

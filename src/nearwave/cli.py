@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__, chanfile, mle, ppe, presets, sim
-from .geometry import ArraySpec, GeometryPose, sample_pose, synth
+from .geometry import GeometryPose, sample_pose, synth
 from .sim import SCHEMA_VERSION
 from .wavefront import degree_set_for_shape
 
@@ -26,24 +27,40 @@ class ConfigError(Exception):
 
 def parse_config(path) -> dict[str, str]:
     """Parse flat "key = value" lines; blank lines and # comments ignored."""
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            out[key.strip()] = value.strip()
+    try:
+        return chanfile.read_metadata(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# tuple-valued keys of any length; every other tuple keeps its default's length
+_VARIADIC = ("snr_grid", "degree_list")
+
+
+def _cast(key: str, text: str, default):
+    """``text`` as the type of ``default``; tuple elements take its first element's type."""
+    try:
+        if not isinstance(default, tuple):
+            return type(default)(text)
+        parts = text.replace(",", " ").split()
+        if key not in _VARIADIC and len(parts) != len(default):
+            raise ValueError(f"expected {len(default)} values, got {text!r}")
+        return tuple(type(default[0])(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _config(args, defaults: dict) -> dict:
+    """``defaults`` updated from the --config file, each value cast to its default's type.
+
+    The keys of ``defaults`` are the subcommand's accepted config keys.
+    """
+    out = dict(defaults)
+    for key, text in (parse_config(args.config) if args.config else {}).items():
+        if key not in defaults:
+            raise ConfigError(f"unknown {args.command} config key {key!r}")
+        out[key] = _cast(key, text, defaults[key])
     return out
-
-
-def _floats(text: str, count: int) -> tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != count:
-        raise ConfigError(f"expected {count} numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
 
 
 def _lookup(registry: dict, name: str, kind: str):
@@ -72,36 +89,32 @@ def _base_metadata(args, **extra) -> dict:
     return {k: v for k, v in meta.items() if v is not None}
 
 
-def _spec_metadata(spec: ArraySpec) -> dict:
-    return {
-        "ntx": spec.ntx, "nty": spec.nty, "nrx": spec.nrx, "nry": spec.nry,
-        "dtx": spec.dtx, "dty": spec.dty, "drx": spec.drx, "dry": spec.dry,
-        "nf": spec.nf, "df": spec.df, "fc": spec.fc,
-    }
+_SYNTH_DEFAULTS = {"amplitude": "exact", "pose": "fixed", "pose_r": (0.0, 0.0, 10.0),
+                   "pose_euler": (0.0, 0.0, 0.0), "shell_min": 5.0, "shell_max": 15.0}
+# MleConfig fields the mle subcommand exposes (its other key is snr_db); the
+# bool unit_amplitude stays out because a cast would read "False" as true
+_MLE_KEYS = ("iterations", "num_starts", "learning_rate", "cost_variant", "fd_step")
 
 
 def _cmd_synth(args) -> int:
     spec = _lookup(presets.SPEC_PRESETS, args.preset, "spec")
-    cfg = parse_config(args.config) if args.config else {}
-    amplitude = cfg.get("amplitude", "exact")
+    cfg = _config(args, _SYNTH_DEFAULTS)
+    amplitude = cfg["amplitude"]
     if amplitude not in ("unit", "exact"):
         raise ConfigError("amplitude must be 'unit' or 'exact'")
-    pose_kind = cfg.get("pose", "fixed")
+    pose_kind = cfg["pose"]
     seed = args.seed if args.seed is not None else 0
     if pose_kind == "fixed":
-        r = np.asarray(_floats(cfg.get("pose_r", "0 0 10"), 3))
-        euler = _floats(cfg.get("pose_euler", "0 0 0"), 3)
-        pose = GeometryPose.from_euler(r, *euler)
+        pose = GeometryPose.from_euler(cfg["pose_r"], *cfg["pose_euler"])
     elif pose_kind == "random":
-        shell = (float(cfg.get("shell_min", 5.0)), float(cfg.get("shell_max", 15.0)))
-        pose = sample_pose(np.random.default_rng(seed), *shell)
+        pose = sample_pose(np.random.default_rng(seed), cfg["shell_min"], cfg["shell_max"])
     else:
         raise ConfigError("pose must be 'fixed' or 'random'")
 
     outdir = _check_outdir(args.out)
     values = synth(spec, pose, unit_amplitude=(amplitude == "unit"))
     meta = _base_metadata(args, amplitude=amplitude, pose_kind=pose_kind, seed=seed,
-                          pose_r=tuple(pose.r), **_spec_metadata(spec))
+                          pose_r=tuple(pose.r), **asdict(spec))
     path = os.path.join(outdir, "channel.bin")
     chanfile.write_channel(path, values, metadata=meta)
     print(path)
@@ -130,30 +143,13 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_mse(args) -> int:
     config = _lookup(presets.EXPERIMENT_PRESETS, args.preset, "experiment")
-    overrides = {}
-    if args.config:
-        cfg = parse_config(args.config)
-        casts = {"trials": int, "seed": int, "amplitude_mode": str,
-                 "shell_measure": str}
-        for key, value in cfg.items():
-            if key == "snr_grid":
-                overrides[key] = tuple(float(v) for v in value.split())
-            elif key == "degree_list":
-                overrides[key] = tuple(int(v) for v in value.split())
-            elif key == "shell":
-                overrides[key] = _floats(value, 2)
-            elif key in casts:
-                overrides[key] = casts[key](value)
-            else:
-                raise ConfigError(f"unknown mse config key {key!r}")
+    cfg = _config(args, {f.name: getattr(config, f.name)
+                         for f in fields(config) if f.name != "spec"})
     if args.trials is not None:
-        overrides["trials"] = args.trials
+        cfg["trials"] = args.trials
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        config = sim.with_overrides(config, **overrides)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        cfg["seed"] = args.seed
+    config = replace(config, **cfg)
     if config.trials < 10:
         print(f"warning: only {config.trials} trial(s); "
               "reported MSE will have high variance", file=sys.stderr)
@@ -166,7 +162,7 @@ def _cmd_mse(args) -> int:
     meta = _base_metadata(args, seed=config.seed, trials=config.trials,
                           amplitude_mode=config.amplitude_mode,
                           shell=config.shell, config_digest=config.digest(),
-                          **_spec_metadata(config.spec))
+                          **asdict(config.spec))
     for i, warning in enumerate(report.warnings):
         meta[f"warning_{i}"] = warning
     chanfile.write_metadata(chanfile.sidecar_path(mse_path), meta)
@@ -176,26 +172,12 @@ def _cmd_mse(args) -> int:
 
 def _cmd_mle(args) -> int:
     spec, config = _lookup(presets.TRAJECTORY_PRESETS, args.preset, "trajectory")
-    snr_db = 10.0
-    overrides = {}
-    if args.config:
-        cfg = parse_config(args.config)
-        casts = {"iterations": int, "num_starts": int, "learning_rate": float,
-                 "cost_variant": str, "fd_step": float}
-        for key, value in cfg.items():
-            if key == "snr_db":
-                snr_db = float(value)
-            elif key in casts:
-                overrides[key] = casts[key](value)
-            else:
-                raise ConfigError(f"unknown mle config key {key!r}")
+    cfg = _config(args, {**{key: getattr(config, key) for key in _MLE_KEYS},
+                         "snr_db": 10.0})
+    snr_db = cfg.pop("snr_db")
     if args.starts is not None:
-        overrides["num_starts"] = args.starts
-    try:
-        if overrides:
-            config = sim.with_overrides(config, **overrides)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        cfg["num_starts"] = args.starts
+    config = replace(config, **cfg)
     seed = args.seed if args.seed is not None else 0
 
     outdir = _check_outdir(args.out)
@@ -206,24 +188,13 @@ def _cmd_mle(args) -> int:
         args, seed=seed, snr_db=snr_db, num_starts=config.num_starts,
         iterations=config.iterations, cost_variant=config.cost_variant,
         converged_fraction=f"{result.converged_fraction():.4f}",
-        **_spec_metadata(spec)))
+        **asdict(spec)))
     print(path)
     return 0
 
 
 def _cmd_landscape(args) -> int:
-    kwargs = dict(_lookup(presets.LANDSCAPE_PRESETS, args.preset, "landscape"))
-    if args.config:
-        cfg = parse_config(args.config)
-        for key, value in cfg.items():
-            if key in ("d_true", "step", "fc"):
-                kwargs[key] = float(value)
-            elif key == "num_antennas":
-                kwargs[key] = int(value)
-            elif key == "d_range":
-                kwargs[key] = _floats(value, 2)
-            else:
-                raise ConfigError(f"unknown landscape config key {key!r}")
+    kwargs = _config(args, _lookup(presets.LANDSCAPE_PRESETS, args.preset, "landscape"))
     outdir = _check_outdir(args.out)
     grid, point, plane = mle.landscape_scan(**kwargs)
     path = os.path.join(outdir, "landscape.csv")
@@ -259,8 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--starts", type=int, default=None)
+        if name == "mse":
+            p.add_argument("--trials", type=int, default=None)
+        if name == "mle":
+            p.add_argument("--starts", type=int, default=None)
         if name == "estimate":
             p.add_argument("--input", default=None)
             p.add_argument("--degree", type=int, default=2)

@@ -193,13 +193,13 @@ def rotation_from_euler(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
 
 
 def skew(omega) -> np.ndarray:
-    """Skew-symmetric 3x3 matrix such that skew(w) @ v == cross(w, v)."""
-    w = np.asarray(omega, dtype=float).reshape(3)
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
+    """Skew-symmetric 3x3 matrix such that skew(w) @ v == cross(w, v); batches (..., 3)."""
+    w = np.asarray(omega, dtype=float)
+    K = np.zeros(w.shape[:-1] + (3, 3))
+    K[..., 0, 1], K[..., 0, 2] = -w[..., 2], w[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = w[..., 2], -w[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -w[..., 1], w[..., 0]
+    return K
 
 
 def rotation_from_tangent(omega, base: np.ndarray | None = None) -> np.ndarray:
@@ -208,16 +208,7 @@ def rotation_from_tangent(omega, base: np.ndarray | None = None) -> np.ndarray:
     The closed form is exact for skew-symmetric 3x3 matrices; ``base``
     defaults to the identity.
     """
-    w = np.asarray(omega, dtype=float).reshape(3)
-    theta = float(np.linalg.norm(w))
-    K = skew(w)
-    if theta < 1e-9:
-        # second-order series; error O(theta^3) is below double rounding here
-        R = np.eye(3) + K + 0.5 * (K @ K)
-    else:
-        R = (np.eye(3)
-             + (math.sin(theta) / theta) * K
-             + ((1.0 - math.cos(theta)) / theta**2) * (K @ K))
+    R = rotation_from_tangent_batch(np.asarray(omega, dtype=float).reshape(1, 3))[0]
     if base is not None:
         R = np.asarray(base, dtype=float) @ R
     return R
@@ -226,12 +217,9 @@ def rotation_from_tangent(omega, base: np.ndarray | None = None) -> np.ndarray:
 def rotation_from_tangent_batch(omega: np.ndarray) -> np.ndarray:
     """Rodrigues map applied to a batch of tangent vectors, shape (S, 3) -> (S, 3, 3)."""
     w = np.asarray(omega, dtype=float)
-    S = w.shape[0]
     theta = np.linalg.norm(w, axis=1)
-    K = np.zeros((S, 3, 3))
-    K[:, 0, 1], K[:, 0, 2] = -w[:, 2], w[:, 1]
-    K[:, 1, 0], K[:, 1, 2] = w[:, 2], -w[:, 0]
-    K[:, 2, 0], K[:, 2, 1] = -w[:, 1], w[:, 0]
+    K = skew(w)
+    # below 1e-9 the second-order series; error O(theta^3) is below double rounding
     small = theta < 1e-9
     t = np.where(small, 1.0, theta)
     a = np.where(small, 1.0, np.sin(t) / t)
@@ -300,27 +288,21 @@ def sample_pose(rng: np.random.Generator, rmin: float = 5.0, rmax: float = 15.0,
     return GeometryPose(r=radius * direction / norm, R=random_rotation(rng))
 
 
-def _centered_grid(count: int, spacing: float) -> np.ndarray:
-    return spacing * (np.arange(count) - (count - 1) / 2.0)
+def _local_grid(nx: int, ny: int, dx: float, dy: float) -> np.ndarray:
+    """Centered nx-by-ny grid in the xy-plane, shape (nx, ny, 3)."""
+    pos = np.zeros((nx, ny, 3))
+    pos[:, :, 0] = (dx * (np.arange(nx) - (nx - 1) / 2.0))[:, None]
+    pos[:, :, 1] = (dy * (np.arange(ny) - (ny - 1) / 2.0))[None, :]
+    return pos
 
 
 def tx_positions(spec: ArraySpec) -> np.ndarray:
     """Transmit antenna positions, shape (ntx, nty, 3); grid centered at the origin."""
-    gx = _centered_grid(spec.ntx, spec.dtx)
-    gy = _centered_grid(spec.nty, spec.dty)
-    pos = np.zeros((spec.ntx, spec.nty, 3))
-    pos[:, :, 0] = gx[:, None]
-    pos[:, :, 1] = gy[None, :]
-    return pos
+    return _local_grid(spec.ntx, spec.nty, spec.dtx, spec.dty)
 
 
 def _rx_local_grid(spec: ArraySpec) -> np.ndarray:
-    gx = _centered_grid(spec.nrx, spec.drx)
-    gy = _centered_grid(spec.nry, spec.dry)
-    pos = np.zeros((spec.nrx, spec.nry, 3))
-    pos[:, :, 0] = gx[:, None]
-    pos[:, :, 1] = gy[None, :]
-    return pos
+    return _local_grid(spec.nrx, spec.nry, spec.drx, spec.dry)
 
 
 def rx_positions(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
@@ -344,26 +326,31 @@ def antenna_positions_alt(spec: ArraySpec, distance: float, tx_angles, rx_angles
     if distance <= 0.0:
         raise ValueError("distance must be > 0")
     Rt = rotation_from_euler(*tx_angles)
-    Rr = rotation_from_euler(*rx_angles)
     tx = np.einsum("ij,xyj->xyi", Rt, tx_positions(spec))
-    rx = np.einsum("ij,xyj->xyi", Rr, _rx_local_grid(spec))
-    rx[:, :, 2] += distance
+    rx = rx_positions(spec, GeometryPose.from_euler([0.0, 0.0, distance], *rx_angles))
     return tx, rx
+
+
+def pair_offsets(spec: ArraySpec, r: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Receive-minus-transmit antenna offsets for a batch of poses.
+
+    ``r`` has shape (S, 3) and ``R`` shape (S, 3, 3); the result has shape
+    (S, nrx, nry, ntx, nty, 3). Rotations are not validated.
+    """
+    r = np.asarray(r, dtype=float)
+    R = np.asarray(R, dtype=float)
+    rx = r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, _rx_local_grid(spec))
+    return rx[:, :, :, None, None, :] - tx_positions(spec)[None, None, None, :, :, :]
 
 
 def distance_tensor(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
     """Pairwise antenna distances, shape (nrx, nry, ntx, nty)."""
-    tx = tx_positions(spec)
-    rx = rx_positions(spec, pose)
-    diff = rx[:, :, None, None, :] - tx[None, None, :, :, :]
-    return np.linalg.norm(diff, axis=-1)
+    return np.linalg.norm(pair_offsets(spec, pose.r[None], pose.R[None])[0], axis=-1)
 
 
 def pairwise_distance(spec: ArraySpec, pose: GeometryPose, n_t, n_r) -> float:
     """Distance between transmit antenna n_t = (ntx, nty) and receive antenna n_r."""
-    tx = tx_positions(spec)[n_t[0], n_t[1]]
-    rx = rx_positions(spec, pose)[n_r[0], n_r[1]]
-    return float(np.linalg.norm(rx - tx))
+    return float(distance_tensor(spec, pose)[n_r[0], n_r[1], n_t[0], n_t[1]])
 
 
 def frequency_factors(spec: ArraySpec) -> np.ndarray:
@@ -378,12 +365,7 @@ def synth(spec: ArraySpec, pose: GeometryPose, unit_amplitude: bool = False) -> 
     with D the center distance and D_pair the antenna pair distance. With
     ``unit_amplitude`` the leading amplitude factor is forced to 1.
     """
-    dist = distance_tensor(spec, pose)
-    phase = (-2.0 * np.pi / spec.wavelength) * dist[..., None] * frequency_factors(spec)
-    h = np.exp(1j * phase)
-    if not unit_amplitude:
-        h *= (pose.distance / dist)[..., None]
-    return h
+    return synth_batch(spec, pose.r[None], pose.R[None], unit_amplitude)[0]
 
 
 def synth_batch(spec: ArraySpec, r: np.ndarray, R: np.ndarray,
@@ -394,16 +376,13 @@ def synth_batch(spec: ArraySpec, r: np.ndarray, R: np.ndarray,
     validated; this is the hot path of the pose optimizer.
     """
     r = np.asarray(r, dtype=float)
-    R = np.asarray(R, dtype=float)
-    tx = tx_positions(spec)
-    local = _rx_local_grid(spec)
-    rx = r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, local)
-    diff = rx[:, :, :, None, None, :] - tx[None, None, None, :, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
+    dist = np.linalg.norm(pair_offsets(spec, r, R), axis=-1)
     phase = (-2.0 * np.pi / spec.wavelength) * dist[..., None] * frequency_factors(spec)
     h = np.exp(1j * phase)
     if not unit_amplitude:
-        center = np.linalg.norm(r, axis=1)
+        # a per-pose dot product, as GeometryPose.distance takes it, so the
+        # amplitude uses the same D to the last bit
+        center = np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             h *= (center[:, None, None, None, None] / dist)[..., None]
     return h

@@ -43,7 +43,6 @@ class MleConfig:
     iterations: int = 500
     num_starts: int = 128
     init_shell: tuple[float, float] = (5.0, 15.0)
-    genie_init: bool = False
     fd_step: float = 1e-6
     unit_amplitude: bool = False
 

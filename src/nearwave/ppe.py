@@ -19,9 +19,9 @@ from .wavefront import (
     DegreeSet,
     PolyPhaseModel,
     approx_channel,
-    basis_at,
     basis_on_lattice,
     binomial,
+    fit_on_grid,
 )
 
 __all__ = [
@@ -172,8 +172,5 @@ def expand_to_lattice(model: PolyPhaseModel, coords, full_shape,
     if np.any(m_max + 1 > np.asarray(model.shape)):
         raise ValueError("sublattice too small to determine the full-lattice basis")
     sub_idx = tuple(np.arange(int(k) + 1) for k in m_max)
-    phase = model.phase_at(sub_idx)
     grid = tuple(c[idx] for c, idx in zip(coords, sub_idx))
-    B = np.stack([basis_at(grid, m).ravel() for m in rows], axis=1)
-    coeffs, *_ = np.linalg.lstsq(B, phase.ravel(), rcond=None)
-    return PolyPhaseModel(shape=full_shape, degrees=rows, coeffs=coeffs)
+    return fit_on_grid(grid, model.phase_at(sub_idx), full_shape, rows)

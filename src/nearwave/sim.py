@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """Short hash identifying the configuration."""
-        text = repr((self.spec, self.snr_grid, self.degree_list, self.trials,
-                     self.amplitude_mode, self.shell, self.shell_measure, self.seed))
+        text = repr(tuple(getattr(self, f.name) for f in fields(self)))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -227,11 +226,9 @@ class TrajectoryExperiment:
         return sorted(self.starts,
                       key=lambda tr: (np.isnan(tr.final_cost), tr.final_cost))
 
-    def converged_fraction(self, margin_db: float = 1.0) -> float:
-        """Fraction of starts whose final cost is within margin of the proxy."""
-        proxy_db = self.proxy.costs_db[-1]
-        flags = [tr.costs_db[-1] <= proxy_db + margin_db for tr in self.starts]
-        return float(np.mean(flags))
+    def converged_fraction(self) -> float:
+        """Fraction of starts whose final cost is within 1 dB of the proxy."""
+        return float(np.mean([tr.converged for tr in self.starts]))
 
     def to_csv(self, path) -> None:
         mle.write_trajectory_csv(path, self.starts, self.proxy)
@@ -275,8 +272,3 @@ def write_landscape_csv(path, grid, point, plane) -> None:
     """Landscape table with columns z, point, plane."""
     rows = [[f"{z:.6f}", f"{p:.9g}", f"{q:.9g}"] for z, p, q in zip(grid, point, plane)]
     write_csv(path, ["z", "point", "plane"], rows)
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Functional update helper for frozen configs."""
-    return replace(config, **kwargs)

@@ -17,13 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import (
-    ArraySpec,
-    GeometryPose,
-    frequency_factors,
-    rx_positions,
-    tx_positions,
-)
+from .geometry import ArraySpec, GeometryPose, frequency_factors, pair_offsets
 
 
 def binomial(n, k: int):
@@ -102,17 +96,12 @@ def normalized_offsets(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
 
     Each component is affine in each antenna index.
     """
-    tx = tx_positions(spec)
-    rx = rx_positions(spec, pose) - pose.r
-    diff = rx[:, :, None, None, :] - tx[None, None, :, :, :]
-    return diff / pose.distance
+    return pair_offsets(spec, np.zeros((1, 3)), pose.R[None])[0] / pose.distance
 
 
 def normalized_offset(spec: ArraySpec, pose: GeometryPose, n_t, n_r) -> np.ndarray:
     """Offset vector for a single antenna pair, n_t = (ntx, nty), n_r = (nrx, nry)."""
-    tx = tx_positions(spec)[n_t[0], n_t[1]]
-    rx = rx_positions(spec, pose)[n_r[0], n_r[1]] - pose.r
-    return (rx - tx) / pose.distance
+    return normalized_offsets(spec, pose)[n_r[0], n_r[1], n_t[0], n_t[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +130,20 @@ class DegreeSet:
         return iter(tuple(m) for m in self.degrees)
 
 
-def _canonical_order(degrees):
-    return sorted(degrees, key=lambda m: (sum(m), m), reverse=True)
+def _checked_shape(max_degree: int, shape) -> tuple[int, ...]:
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    shape = tuple(int(n) for n in shape)
+    if any(n < 1 for n in shape):
+        raise ValueError("shape components must be >= 1")
+    return shape
+
+
+def _degree_set(max_degree: int, shape: tuple[int, ...], degrees) -> DegreeSet:
+    """DegreeSet of ``degrees`` in canonical order (descending total degree, then lex)."""
+    ordered = np.array(sorted(degrees, key=lambda m: (sum(m), m), reverse=True), dtype=int)
+    return DegreeSet(max_degree=max_degree, shape=shape, degrees=ordered,
+                     spatial_cardinality=len({m[:-1] for m in degrees}))
 
 
 def degree_set_for_shape(max_degree: int, shape) -> DegreeSet:
@@ -152,11 +153,7 @@ def degree_set_for_shape(max_degree: int, shape) -> DegreeSet:
     have at least ``max_degree + 1`` samples, otherwise the basis would be
     overloaded and a ValueError is raised.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    shape = tuple(int(n) for n in shape)
-    if any(n < 1 for n in shape):
-        raise ValueError("shape components must be >= 1")
+    shape = _checked_shape(max_degree, shape)
     spatial = shape[:-1]
     for axis, n in enumerate(spatial):
         if n > 1 and n < max_degree + 1:
@@ -166,14 +163,8 @@ def degree_set_for_shape(max_degree: int, shape) -> DegreeSet:
     ranges = [range(max_degree + 1) if n > 1 else range(1) for n in spatial]
     spatial_degrees = [m for m in product(*ranges) if sum(m) <= max_degree]
     freq_range = range(2) if shape[-1] > 1 else range(1)
-    degrees = [m + (mf,) for m in spatial_degrees for mf in freq_range]
-    ordered = np.array(_canonical_order(degrees), dtype=int)
-    return DegreeSet(
-        max_degree=max_degree,
-        shape=shape,
-        degrees=ordered,
-        spatial_cardinality=len(spatial_degrees),
-    )
+    return _degree_set(max_degree, shape,
+                       [m + (mf,) for m in spatial_degrees for mf in freq_range])
 
 
 def build_degree_set(max_degree: int, spec: ArraySpec) -> DegreeSet:
@@ -190,18 +181,10 @@ def product_degree_set(max_degree: int, shape) -> DegreeSet:
     total-degree polynomial to such a grid leaves the total-degree family,
     but any function of L + 1 points per axis is a product polynomial.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    shape = tuple(int(n) for n in shape)
-    if any(n < 1 for n in shape):
-        raise ValueError("shape components must be >= 1")
+    shape = _checked_shape(max_degree, shape)
     caps = [min(max_degree, n - 1) for n in shape[:-1]]
     caps.append(min(1, shape[-1] - 1))
-    degrees = list(product(*[range(c + 1) for c in caps]))
-    spatial = {m[:-1] for m in degrees}
-    ordered = np.array(_canonical_order(degrees), dtype=int)
-    return DegreeSet(max_degree=max_degree, shape=shape, degrees=ordered,
-                     spatial_cardinality=len(spatial))
+    return _degree_set(max_degree, shape, list(product(*[range(c + 1) for c in caps])))
 
 
 def basis_at(coords, m) -> np.ndarray:
@@ -272,6 +255,19 @@ def approx_channel(model: PolyPhaseModel) -> np.ndarray:
     return np.exp(2j * np.pi * model.phase_cycles())
 
 
+def fit_on_grid(coords, phase, shape, degrees) -> PolyPhaseModel:
+    """Model over ``shape`` whose phase matches ``phase`` (cycles) on a product grid.
+
+    ``coords`` gives, per axis, the lattice index of each grid sample. The
+    coefficients of ``degrees`` come from a dense least-squares solve, which
+    is exact when the grid determines those degrees and ``phase`` lies in
+    their span.
+    """
+    B = np.stack([basis_at(coords, m).ravel() for m in degrees], axis=1)
+    coeffs, *_ = np.linalg.lstsq(B, np.ravel(phase), rcond=None)
+    return PolyPhaseModel(shape=shape, degrees=degrees, coeffs=coeffs)
+
+
 def coefficients_from_geometry(spec: ArraySpec, pose: GeometryPose,
                                max_degree: int) -> PolyPhaseModel:
     """Ground-truth polynomial coefficients of the degree-``max_degree`` wavefront.
@@ -281,20 +277,12 @@ def coefficients_from_geometry(spec: ArraySpec, pose: GeometryPose,
     index subgrid that determines the polynomial.
     """
     ds = build_degree_set(max_degree, spec)
-    m_max = ds.degrees.max(axis=0)
-    coords = tuple(np.arange(int(k) + 1) for k in m_max)
-
-    tx = tx_positions(spec)[np.ix_(coords[2], coords[3])]
-    rx = rx_positions(spec, pose)[np.ix_(coords[0], coords[1])] - pose.r
-    delta = (rx[:, :, None, None, :] - tx[None, None, :, :, :]) / pose.distance
+    coords = tuple(np.arange(int(k) + 1) for k in ds.degrees.max(axis=0))
+    delta = normalized_offsets(spec, pose)[np.ix_(*coords[:4])]
     g = range_factor_taylor(max_degree, pose.direction, delta)
     scale = frequency_factors(spec)[coords[4]]
     cycles = (-pose.distance / spec.wavelength) * g[..., None] * scale
-
-    columns = [basis_at(coords, m).ravel() for m in ds.degrees]
-    B = np.stack(columns, axis=1)
-    coeffs, *_ = np.linalg.lstsq(B, cycles.ravel(), rcond=None)
-    return PolyPhaseModel(shape=spec.shape, degrees=ds.degrees, coeffs=coeffs)
+    return fit_on_grid(coords, cycles, spec.shape, ds.degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -49,3 +49,36 @@ def test_metadata_ignores_comments(tmp_path):
     write_metadata(path, {"a": 1})
     path.write_text(path.read_text() + "# comment line\n\nb = two\n")
     assert read_metadata(path) == {"a": "1", "b": "two"}
+
+
+def test_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "h.bin"
+    write_channel(path, np.ones((1, 1, 4, 1, 1), dtype=complex))
+    path.write_bytes(path.read_bytes() + b"\0" * 16)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_channel(path)
+
+
+@pytest.mark.parametrize("extents", [
+    [2**31, 2**31, 1, 1, 1],  # payload size overflows a read request
+    [2**32] * 5,  # element count overflows int64
+])
+def test_rejects_header_extents_beyond_file_size(tmp_path, extents):
+    path = tmp_path / "h.bin"
+    path.write_bytes(np.array(extents, dtype="<i8").tobytes() + b"\0" * 32)
+    with pytest.raises(ValueError, match="truncated"):
+        read_channel(path)
+
+
+def test_rejects_partial_header(tmp_path):
+    path = tmp_path / "h.bin"
+    path.write_bytes(b"\1" * 13)
+    with pytest.raises(ValueError, match="header"):
+        read_channel(path)
+
+
+def test_metadata_rejects_line_without_equals(tmp_path):
+    path = tmp_path / "x.meta"
+    path.write_text("a = 1\nno separator here\n")
+    with pytest.raises(ValueError, match=":2:"):
+        read_metadata(path)

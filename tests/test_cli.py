@@ -133,3 +133,76 @@ def test_parse_config_rejects_garbage(tmp_path):
     from nearwave.cli import ConfigError
     with pytest.raises(ConfigError):
         parse_config(bad)
+
+
+def test_estimate_oversized_header_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(np.array([2**31, 2**31, 1, 1, 1], dtype="<i8").tobytes())
+    assert main(["estimate", "--input", str(path), "--out", str(tmp_path)]) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--trials", "5", "--starts", "9"],
+    ["estimate", "--trials", "5"],
+    ["landscape", "--starts", "9"],
+    ["mse", "--starts", "9"],
+    ["mle", "--trials", "5"],
+])
+def test_flag_of_another_subcommand_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+# Per subcommand: a preset, every accepted config key with a value that keeps the
+# run short, the metadata those values must show, keys that are rejected, and
+# fixed-count keys given the wrong count.
+CONFIG_KEYS = {
+    "synth": ("ula8-single", "channel.bin.meta",
+              {"amplitude": "unit", "pose": "random", "pose_r": "0 0 9",
+               "pose_euler": "0 0 0.1", "shell_min": "6", "shell_max": "7"},
+              {"amplitude": "unit", "pose_kind": "random"},
+              ("bogus", "trials", "seed"),
+              {"pose_r": "0 10", "pose_euler": "0 0 0 0"}),
+    "mse": ("fig5a", "mse.csv.meta",
+            {"snr_grid": "20", "degree_list": "1 2", "trials": "1",
+             "amplitude_mode": "exact", "shell": "6 7", "shell_measure": "radius",
+             "seed": "3"},
+            {"trials": "1", "amplitude_mode": "exact", "shell": "(6.0, 7.0)", "seed": "3"},
+            ("bogus", "spec", "num_starts"),
+            {"shell": "5"}),
+    "mle": ("fig3a", "trajectories.csv.meta",
+            {"iterations": "2", "num_starts": "2", "learning_rate": "0.02",
+             "cost_variant": "plain", "fd_step": "1e-5", "snr_db": "15"},
+            {"iterations": "2", "num_starts": "2", "cost_variant": "plain",
+             "snr_db": "15.0"},
+            ("bogus", "init_shell", "unit_amplitude", "genie_init"),
+            {}),
+    "landscape": ("fig9", "landscape.csv.meta",
+                  {"d_true": "5", "d_range": "4.99 5.01", "step": "0.001",
+                   "num_antennas": "16", "fc": "28e9"},
+                  {"d_true": "5.0", "d_range": "(4.99, 5.01)", "num_antennas": "16",
+                   "fc": "28000000000.0"},
+                  ("bogus", "trials"),
+                  {"d_range": "4.6 5.0 5.4"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_keys_per_subcommand(tmp_path, capsys, command):
+    preset, meta_name, accepted, echoed, rejected, wrong_count = CONFIG_KEYS[command]
+    config = tmp_path / "run.cfg"
+
+    def run(lines):
+        config.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+        return main([command, "--preset", preset, "--config", str(config),
+                     "--out", str(tmp_path)])
+
+    assert run(accepted) == 0
+    meta = chanfile.read_metadata(tmp_path / meta_name)
+    assert {key: meta[key] for key in echoed} == echoed
+    for key, value in [*((key, "1") for key in rejected), *wrong_count.items()]:
+        capsys.readouterr()
+        assert run({key: value}) == 2
+        assert key in capsys.readouterr().err

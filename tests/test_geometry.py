@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from nearwave.geometry import (
@@ -21,6 +23,7 @@ from nearwave.geometry import (
     synth_batch,
     tx_positions,
 )
+from nearwave.presets import SPEC_PRESETS
 from nearwave.wavefront import normalized_offset
 
 
@@ -280,6 +283,19 @@ def test_synth_batch_matches_synth():
                         np.stack([p.R for p in poses]))
     for i, pose in enumerate(poses):
         assert np.allclose(batch[i], synth(spec, pose), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset=st.sampled_from(sorted(SPEC_PRESETS)),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+       unit=st.booleans())
+def test_synth_batch_equals_loop_bit_for_bit(preset, seeds, unit):
+    spec = SPEC_PRESETS[preset]
+    poses = [sample_pose(np.random.default_rng(seed)) for seed in seeds]
+    batch = synth_batch(spec, np.stack([p.r for p in poses]),
+                        np.stack([p.R for p in poses]), unit)
+    for h, pose in zip(batch, poses):
+        assert np.array_equal(h, synth(spec, pose, unit))
 
 
 # ---------------------------------------------------------------------------
