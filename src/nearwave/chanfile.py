@@ -1,4 +1,4 @@
-"""Binary channel tensor files with a human-readable metadata sidecar.
+"""File formats: binary channel tensors, their metadata sidecar, and CSV tables.
 
 Layout: a header of five little-endian int64 extents (n_rx, n_ry, n_tx,
 n_ty, n_f) followed by the row-major tensor entries as little-endian
@@ -8,6 +8,7 @@ float64 pairs (real, imaginary). The sidecar is the same path with a
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 
@@ -76,3 +77,11 @@ def read_metadata(path) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             out[key.strip()] = value.strip()
     return out
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one header row, then ``rows``, as comma-separated values."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

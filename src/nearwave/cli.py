@@ -70,10 +70,10 @@ def _lookup(registry: dict, name: str, kind: str):
     return registry[name]
 
 
-def _check_outdir(path) -> str:
-    if not os.path.isdir(path):
-        raise OSError(f"output directory does not exist: {path}")
-    return path
+def _out_path(args, name: str) -> str:
+    if not os.path.isdir(args.out):
+        raise OSError(f"output directory does not exist: {args.out}")
+    return os.path.join(args.out, name)
 
 
 def _base_metadata(args, **extra) -> dict:
@@ -91,40 +91,33 @@ def _base_metadata(args, **extra) -> dict:
 
 _SYNTH_DEFAULTS = {"amplitude": "exact", "pose": "fixed", "pose_r": (0.0, 0.0, 10.0),
                    "pose_euler": (0.0, 0.0, 0.0), "shell_min": 5.0, "shell_max": 15.0}
-# MleConfig fields the mle subcommand exposes (its other key is snr_db); the
-# bool unit_amplitude stays out because a cast would read "False" as true
-_MLE_KEYS = ("iterations", "num_starts", "learning_rate", "cost_variant", "fd_step")
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[str, dict]:
     spec = _lookup(presets.SPEC_PRESETS, args.preset, "spec")
     cfg = _config(args, _SYNTH_DEFAULTS)
     amplitude = cfg["amplitude"]
     if amplitude not in ("unit", "exact"):
         raise ConfigError("amplitude must be 'unit' or 'exact'")
     pose_kind = cfg["pose"]
-    seed = args.seed if args.seed is not None else 0
     if pose_kind == "fixed":
         pose = GeometryPose.from_euler(cfg["pose_r"], *cfg["pose_euler"])
     elif pose_kind == "random":
-        pose = sample_pose(np.random.default_rng(seed), cfg["shell_min"], cfg["shell_max"])
+        pose = sample_pose(np.random.default_rng(args.seed), cfg["shell_min"], cfg["shell_max"])
     else:
         raise ConfigError("pose must be 'fixed' or 'random'")
 
-    outdir = _check_outdir(args.out)
+    path = _out_path(args, "channel.bin")
     values = synth(spec, pose, unit_amplitude=(amplitude == "unit"))
-    meta = _base_metadata(args, amplitude=amplitude, pose_kind=pose_kind, seed=seed,
-                          pose_r=tuple(pose.r), **asdict(spec))
-    path = os.path.join(outdir, "channel.bin")
-    chanfile.write_channel(path, values, metadata=meta)
-    print(path)
-    return 0
+    chanfile.write_channel(path, values)
+    return path, dict(amplitude=amplitude, pose_kind=pose_kind, seed=args.seed,
+                      pose_r=tuple(pose.r), **asdict(spec))
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> tuple[str, dict]:
     if args.input is None:
         raise ConfigError("estimate requires --input")
-    outdir = _check_outdir(args.out)
+    path = _out_path(args, "coefficients.csv")
     y = chanfile.read_channel(args.input)
     ds = degree_set_for_shape(args.degree, y.shape)
     model = ppe.estimate(y, ds)
@@ -132,19 +125,18 @@ def _cmd_estimate(args) -> int:
 
     header = ["m_rx", "m_ry", "m_tx", "m_ty", "m_f", "a_cycles"]
     rows = [[*map(int, m), f"{a:.12g}"] for m, a in zip(model.degrees, model.coeffs)]
-    path = os.path.join(outdir, "coefficients.csv")
     sim.write_csv(path, header, rows)
-    chanfile.write_metadata(chanfile.sidecar_path(path), _base_metadata(
-        args, input=args.input, degree=args.degree,
-        reconstruction_mse_db=f"{10 * np.log10(max(recon_mse, 1e-300)):.3f}"))
-    print(path)
-    return 0
+    return path, dict(input=args.input, degree=args.degree,
+                      reconstruction_mse_db=f"{10 * np.log10(max(recon_mse, 1e-300)):.3f}")
 
 
-def _cmd_mse(args) -> int:
+def _cmd_mse(args) -> tuple[str, dict]:
     config = _lookup(presets.EXPERIMENT_PRESETS, args.preset, "experiment")
     cfg = _config(args, {f.name: getattr(config, f.name)
                          for f in fields(config) if f.name != "spec"})
+    # the library allows an LS-only sweep; a CLI run without degrees has no result
+    if not cfg["degree_list"]:
+        raise ConfigError("degree_list: expected at least one degree")
     if args.trials is not None:
         cfg["trials"] = args.trials
     if args.seed is not None:
@@ -154,55 +146,45 @@ def _cmd_mse(args) -> int:
         print(f"warning: only {config.trials} trial(s); "
               "reported MSE will have high variance", file=sys.stderr)
 
-    outdir = _check_outdir(args.out)
+    mse_path = _out_path(args, "mse.csv")
     report = sim.run_mse_sweep(config)
-    mse_path = os.path.join(outdir, "mse.csv")
     sim.write_csv(mse_path, *report.mse_csv_rows())
-    sim.write_csv(os.path.join(outdir, "crb.csv"), *report.crb_csv_rows())
-    meta = _base_metadata(args, seed=config.seed, trials=config.trials,
-                          amplitude_mode=config.amplitude_mode,
-                          shell=config.shell, config_digest=config.digest(),
-                          **asdict(config.spec))
+    sim.write_csv(_out_path(args, "crb.csv"), *report.crb_csv_rows())
+    meta = dict(seed=config.seed, trials=config.trials,
+                amplitude_mode=config.amplitude_mode,
+                shell=config.shell, config_digest=config.digest(),
+                **asdict(config.spec))
     for i, warning in enumerate(report.warnings):
         meta[f"warning_{i}"] = warning
-    chanfile.write_metadata(chanfile.sidecar_path(mse_path), meta)
-    print(mse_path)
-    return 0
+    return mse_path, meta
 
 
-def _cmd_mle(args) -> int:
+def _cmd_mle(args) -> tuple[str, dict]:
     spec, config = _lookup(presets.TRAJECTORY_PRESETS, args.preset, "trajectory")
-    cfg = _config(args, {**{key: getattr(config, key) for key in _MLE_KEYS},
+    cfg = _config(args, {**{f.name: getattr(config, f.name)
+                            for f in fields(config) if f.name != "init_shell"},
                          "snr_db": 10.0})
     snr_db = cfg.pop("snr_db")
     if args.starts is not None:
         cfg["num_starts"] = args.starts
     config = replace(config, **cfg)
-    seed = args.seed if args.seed is not None else 0
 
-    outdir = _check_outdir(args.out)
-    result = sim.run_trajectory_experiment(spec, config, snr_db=snr_db, seed=seed)
-    path = os.path.join(outdir, "trajectories.csv")
+    path = _out_path(args, "trajectories.csv")
+    result = sim.run_trajectory_experiment(spec, config, snr_db=snr_db, seed=args.seed)
     result.to_csv(path)
-    chanfile.write_metadata(chanfile.sidecar_path(path), _base_metadata(
-        args, seed=seed, snr_db=snr_db, num_starts=config.num_starts,
-        iterations=config.iterations, cost_variant=config.cost_variant,
-        converged_fraction=f"{result.converged_fraction():.4f}",
-        **asdict(spec)))
-    print(path)
-    return 0
+    return path, dict(seed=args.seed, snr_db=snr_db, num_starts=config.num_starts,
+                      iterations=config.iterations, cost_variant=config.cost_variant,
+                      converged_fraction=f"{result.converged_fraction():.4f}",
+                      **asdict(spec))
 
 
-def _cmd_landscape(args) -> int:
+def _cmd_landscape(args) -> tuple[str, dict]:
     kwargs = _config(args, _lookup(presets.LANDSCAPE_PRESETS, args.preset, "landscape"))
-    outdir = _check_outdir(args.out)
+    path = _out_path(args, "landscape.csv")
     grid, point, plane = mle.landscape_scan(**kwargs)
-    path = os.path.join(outdir, "landscape.csv")
-    sim.write_landscape_csv(path, grid, point, plane)
-    chanfile.write_metadata(chanfile.sidecar_path(path),
-                            _base_metadata(args, **kwargs))
-    print(path)
-    return 0
+    rows = [[f"{z:.6f}", f"{p:.9g}", f"{q:.9g}"] for z, p, q in zip(grid, point, plane)]
+    sim.write_csv(path, ["z", "point", "plane"], rows)
+    return path, kwargs
 
 
 _COMMANDS = {
@@ -221,35 +203,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = {
-        "synth": "ula32-single", "estimate": None, "mse": "fig5a",
+        "synth": "ula32-single", "mse": "fig5a",
         "mle": "fig3a", "landscape": "fig9",
     }
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        p.add_argument("--out", default=".")
+        if name == "estimate":
+            p.add_argument("--input", default=None)
+            p.add_argument("--degree", type=int, default=2)
+            continue
         p.add_argument("--preset", default=defaults[name])
         p.add_argument("--config", default=None)
-        p.add_argument("--out", default=".")
-        p.add_argument("--seed", type=int, default=None)
+        if name != "landscape":
+            # mse keeps None so that its preset's seed applies
+            p.add_argument("--seed", type=int, default=None if name == "mse" else 0)
         if name == "mse":
             p.add_argument("--trials", type=int, default=None)
         if name == "mle":
             p.add_argument("--starts", type=int, default=None)
-        if name == "estimate":
-            p.add_argument("--input", default=None)
-            p.add_argument("--degree", type=int, default=2)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, write the sidecar of its data file and print the file's path."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        path, extra = _COMMANDS[args.command](args)
+        chanfile.write_metadata(chanfile.sidecar_path(path), _base_metadata(args, **extra))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    print(path)
+    return 0
 
 
 if __name__ == "__main__":

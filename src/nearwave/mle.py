@@ -10,11 +10,11 @@ as one batched computation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chanfile import write_csv
 from .geometry import (
     ArraySpec,
     GeometryPose,
@@ -30,6 +30,7 @@ COST_VARIANTS = ("plain", "complex_beta", "unit_beta")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+FD_STEP = 1e-6  # relative central-difference step
 
 _DB_FLOOR = 1e-30  # linear cost floor so dB trajectories stay finite
 
@@ -43,8 +44,6 @@ class MleConfig:
     iterations: int = 500
     num_starts: int = 128
     init_shell: tuple[float, float] = (5.0, 15.0)
-    fd_step: float = 1e-6
-    unit_amplitude: bool = False
 
     def __post_init__(self):
         if self.cost_variant not in COST_VARIANTS:
@@ -75,25 +74,29 @@ class Trajectory:
     final_cost: float = field(default=float("nan"))
 
 
-def _cost_from_channel(y: np.ndarray, h: np.ndarray, variant: str) -> np.ndarray:
-    """Reduce batched model channels h (S, ...) against the observation y (...)."""
+def _fit(y: np.ndarray, h: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form attenuation and cost of each batched channel h (S, ...) against y.
+
+    Returns (beta, cost), each of shape (S,), with cost = mean |y - beta h|^2.
+    """
     axes = tuple(range(1, h.ndim))
     size = y.size
     if variant == "plain":
-        return np.sum(np.abs(y[None] - h) ** 2, axis=axes) / size
-    corr = np.abs(np.sum(y[None] * np.conj(h), axis=axes))
+        return np.ones(len(h), dtype=complex), np.sum(np.abs(y[None] - h) ** 2, axis=axes) / size
+    inner = np.sum(y[None] * np.conj(h), axis=axes)
+    corr = np.abs(inner)
     y_energy = np.sum(np.abs(y) ** 2)
     h_energy = np.sum(np.abs(h) ** 2, axis=axes)
     if variant == "complex_beta":
-        return (y_energy - corr**2 / h_energy) / size
+        return inner / h_energy, (y_energy - corr**2 / h_energy) / size
     if variant == "unit_beta":
-        return (y_energy + h_energy - 2.0 * corr) / size
+        return inner / corr, (y_energy + h_energy - 2.0 * corr) / size
     raise ValueError(f"unknown cost variant: {variant!r}")
 
 
 def _cost_single(y, spec, pose, variant, unit_amplitude):
     h = synth(spec, pose, unit_amplitude=unit_amplitude)
-    return float(_cost_from_channel(np.asarray(y), h[None], variant)[0])
+    return float(_fit(np.asarray(y), h[None], variant)[1][0])
 
 
 def cost_plain(y, spec: ArraySpec, pose: GeometryPose, unit_amplitude: bool = False) -> float:
@@ -114,32 +117,27 @@ def cost_unit_beta(y, spec: ArraySpec, pose: GeometryPose, unit_amplitude: bool 
     return _cost_single(y, spec, pose, "unit_beta", unit_amplitude)
 
 
-def beta_hat(y, spec: ArraySpec, pose: GeometryPose, variant: str = "complex_beta",
-             unit_amplitude: bool = False) -> complex:
+def beta_hat(y, spec: ArraySpec, pose: GeometryPose, variant: str = "complex_beta") -> complex:
     """Closed-form attenuation estimate for a given pose.
 
     "plain" returns 1, "complex_beta" the least-squares projection
-    <y, h> / ||h||^2, and "unit_beta" its unit-modulus counterpart.
+    <y, h> / ||h||^2, and "unit_beta" its unit-modulus counterpart, which
+    raises ValueError when <y, h> is 0.
     """
-    if variant not in COST_VARIANTS:
-        raise ValueError(f"variant must be one of {COST_VARIANTS}")
-    if variant == "plain":
-        return 1.0 + 0.0j
-    h = synth(spec, pose, unit_amplitude=unit_amplitude)
-    corr = np.sum(np.asarray(y) * np.conj(h))
-    if variant == "complex_beta":
-        return complex(corr / np.sum(np.abs(h) ** 2))
-    if corr == 0:
+    h = synth(spec, pose)
+    with np.errstate(invalid="ignore"):
+        beta = _fit(np.asarray(y), h[None], variant)[0][0]
+    if np.isnan(beta):
         raise ValueError("zero correlation; unit-modulus attenuation undefined")
-    return complex(corr / abs(corr))
+    return complex(beta)
 
 
-def _batched_cost(y, spec, params, base_rotations, variant, unit_amplitude):
+def _batched_cost(y, spec, params, base_rotations, variant):
     r = params[:, :3]
     R = base_rotations @ rotation_from_tangent_batch(params[:, 3:])
     with np.errstate(invalid="ignore", divide="ignore"):
-        h = synth_batch(spec, r, R, unit_amplitude=unit_amplitude)
-        return _cost_from_channel(np.asarray(y), h, variant)
+        h = synth_batch(spec, r, R)
+        return _fit(np.asarray(y), h, variant)[1]
 
 
 def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
@@ -170,8 +168,7 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
     frozen = np.zeros(S, dtype=bool)
 
     def record(t):
-        c = _batched_cost(y, spec, params, base_rotations,
-                          config.cost_variant, config.unit_amplitude)
+        c = _batched_cost(y, spec, params, base_rotations, config.cost_variant)
         costs[t] = c
         return c
 
@@ -180,15 +177,13 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
         frozen |= ~np.isfinite(c)
         grad = np.zeros_like(params)
         for j in range(6):
-            step = config.fd_step * np.maximum(1.0, np.abs(params[:, j]))
+            step = FD_STEP * np.maximum(1.0, np.abs(params[:, j]))
             up = params.copy()
             up[:, j] += step
             down = params.copy()
             down[:, j] -= step
-            cp = _batched_cost(y, spec, up, base_rotations,
-                               config.cost_variant, config.unit_amplitude)
-            cm = _batched_cost(y, spec, down, base_rotations,
-                               config.cost_variant, config.unit_amplitude)
+            cp = _batched_cost(y, spec, up, base_rotations, config.cost_variant)
+            cm = _batched_cost(y, spec, down, base_rotations, config.cost_variant)
             grad[:, j] = (cp - cm) / (2.0 * step)
         frozen |= ~np.all(np.isfinite(grad), axis=1)
         grad[frozen] = 0.0
@@ -248,8 +243,9 @@ def landscape_scan(d_true: float = 5.0, d_range: tuple[float, float] = (4.6, 5.4
     R_batch = np.broadcast_to(np.eye(3), (grid.size, 3, 3))
     h = synth_batch(spec, r_batch, R_batch)
     size = y.size
-    point = np.sqrt(size * _cost_from_channel(y, h, "plain"))
-    plane = np.sqrt(size * _cost_from_channel(y, h, "complex_beta"))
+    point = np.sqrt(size * _fit(y, h, "plain")[1])
+    # rounding can leave the absorbed cost a few ULPs below zero at the truth
+    plane = np.sqrt(size * np.maximum(_fit(y, h, "complex_beta")[1], 0.0))
     return grid, point, plane
 
 
@@ -263,11 +259,6 @@ def write_trajectory_csv(path, trajectories, proxy: Trajectory) -> None:
     header = ["Iteration"]
     header += [f"Best_{k}_Cost_dB" for k in range(1, len(ranked) + 1)]
     header += ["Proxy_Cost_dB"]
-    iterations = proxy.costs_db.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(iterations):
-            row = [i] + [f"{tr.costs_db[i]:.6f}" for tr in ranked]
-            row.append(f"{proxy.costs_db[i]:.6f}")
-            writer.writerow(row)
+    rows = [[i] + [f"{tr.costs_db[i]:.6f}" for tr in [*ranked, proxy]]
+            for i in range(proxy.costs_db.shape[0])]
+    write_csv(path, header, rows)

@@ -8,13 +8,13 @@ per-trial results, so identical configurations reproduce identical reports.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import mle, ppe
+from .chanfile import write_csv
 from .geometry import ArraySpec, GeometryPose, sample_pose, synth
 from .wavefront import build_degree_set, degree_set_for_shape, product_degree_set
 
@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.amplitude_mode not in ("unit", "exact"):
             raise ValueError("amplitude_mode must be 'unit' or 'exact'")
+        if not self.snr_grid:
+            raise ValueError("snr_grid must not be empty")
         if not all(np.isfinite(s) for s in self.snr_grid):
             raise ValueError("snr values must be finite")
 
@@ -92,20 +94,17 @@ class ExperimentReport:
     ls_db: np.ndarray  # (n_snr,)
     warnings: list[str] = field(default_factory=list)
 
+    def _csv_rows(self, columns, table):
+        """Header and rows: snr_db, then ``columns`` read from the rows of ``table``."""
+        rows = [[f"{snr:g}"] + [f"{v:.6f}" for v in row] for snr, row in zip(self.snr_db, table)]
+        return ["snr_db", *columns], rows
+
     def mse_csv_rows(self):
-        header = ["snr_db"] + [f"mse_db_{L}" for L in self.degree_list]
-        rows = []
-        for i, snr in enumerate(self.snr_db):
-            rows.append([f"{snr:g}"] + [f"{v:.6f}" for v in self.mse_db[i]])
-        return header, rows
+        return self._csv_rows([f"mse_db_{L}" for L in self.degree_list], self.mse_db)
 
     def crb_csv_rows(self):
-        header = ["snr_db"] + [f"crb_db_{L}" for L in self.degree_list] + ["ls_db"]
-        rows = []
-        for i, snr in enumerate(self.snr_db):
-            rows.append([f"{snr:g}"] + [f"{v:.6f}" for v in self.crb_db[i]]
-                        + [f"{self.ls_db[i]:.6f}"])
-        return header, rows
+        return self._csv_rows([f"crb_db_{L}" for L in self.degree_list] + ["ls_db"],
+                              np.column_stack([self.crb_db, self.ls_db]))
 
 
 def run_mse_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -260,15 +259,3 @@ def run_trajectory_experiment(spec: ArraySpec, config: mle.MleConfig,
     return TrajectoryExperiment(spec=spec, config=config, snr_db=snr_db, seed=seed,
                                 proxy=proxy, starts=starts, best_pose=best_pose)
 
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_landscape_csv(path, grid, point, plane) -> None:
-    """Landscape table with columns z, point, plane."""
-    rows = [[f"{z:.6f}", f"{p:.9g}", f"{q:.9g}"] for z, p, q in zip(grid, point, plane)]
-    write_csv(path, ["z", "point", "plane"], rows)

@@ -148,16 +148,21 @@ def test_estimate_oversized_header_exit_2(tmp_path, capsys):
     ["landscape", "--starts", "9"],
     ["mse", "--starts", "9"],
     ["mle", "--trials", "5"],
+    ["estimate", "--preset", "x"],
+    ["estimate", "--config", "x"],
+    ["estimate", "--seed", "3"],
+    ["landscape", "--seed", "3"],
 ])
-def test_flag_of_another_subcommand_exit_2(tmp_path, argv):
+def test_flag_of_another_subcommand_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
 
 
 # Per subcommand: a preset, every accepted config key with a value that keeps the
 # run short, the metadata those values must show, keys that are rejected, and
-# fixed-count keys given the wrong count.
+# keys given a wrong count of values (none, for the any-length lists).
 CONFIG_KEYS = {
     "synth": ("ula8-single", "channel.bin.meta",
               {"amplitude": "unit", "pose": "random", "pose_r": "0 0 9",
@@ -171,13 +176,13 @@ CONFIG_KEYS = {
              "seed": "3"},
             {"trials": "1", "amplitude_mode": "exact", "shell": "(6.0, 7.0)", "seed": "3"},
             ("bogus", "spec", "num_starts"),
-            {"shell": "5"}),
+            {"shell": "5", "snr_grid": "", "degree_list": ""}),
     "mle": ("fig3a", "trajectories.csv.meta",
             {"iterations": "2", "num_starts": "2", "learning_rate": "0.02",
-             "cost_variant": "plain", "fd_step": "1e-5", "snr_db": "15"},
+             "cost_variant": "plain", "snr_db": "15"},
             {"iterations": "2", "num_starts": "2", "cost_variant": "plain",
              "snr_db": "15.0"},
-            ("bogus", "init_shell", "unit_amplitude", "genie_init"),
+            ("bogus", "init_shell", "unit_amplitude", "genie_init", "fd_step"),
             {}),
     "landscape": ("fig9", "landscape.csv.meta",
                   {"d_true": "5", "d_range": "4.99 5.01", "step": "0.001",

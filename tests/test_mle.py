@@ -56,17 +56,22 @@ def test_beta_hat_values():
     assert beta_hat(2 * h, SPEC, TRUTH, "complex_beta") == pytest.approx(2.0)
     assert beta_hat(2 * h, SPEC, TRUTH, "unit_beta") == pytest.approx(1.0)
     assert abs(beta_hat((1 + 1j) * h, SPEC, TRUTH, "unit_beta")) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        beta_hat(np.zeros_like(h), SPEC, TRUTH, "unit_beta")
 
 
 def test_cost_beta_projection_identity():
+    # each cost is the residual at its variant's closed-form attenuation
     rng = np.random.default_rng(1)
     y = add_noise(synth(SPEC, TRUTH), 10.0, rng)
+    costs = {"plain": cost_plain, "complex_beta": cost_beta, "unit_beta": cost_unit_beta}
     for _ in range(10):
         pose = sample_pose(rng)
-        beta = beta_hat(y, SPEC, pose, "complex_beta")
         h = synth(SPEC, pose)
-        direct = np.mean(np.abs(y - beta * h) ** 2)
-        assert cost_beta(y, SPEC, pose) == pytest.approx(direct, abs=1e-10)
+        for variant, cost in costs.items():
+            beta = beta_hat(y, SPEC, pose, variant)
+            direct = np.mean(np.abs(y - beta * h) ** 2)
+            assert cost(y, SPEC, pose) == pytest.approx(direct, abs=1e-10)
 
 
 def test_unit_amplitude_argmin_matches_correlation_argmax():
@@ -161,6 +166,16 @@ def test_landscape_zero_at_truth_and_shapes():
     truth = GeometryPose(r=np.array([0.0, 0.0, 5.0]), R=np.eye(3))
     spec = ArraySpec.half_wavelength(ntx=256)
     assert cost_plain(synth(spec, truth), spec, truth) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_landscape_finite_where_absorbed_cost_rounds_below_zero():
+    # 8 antennas at 28 GHz: the absorbed cost rounds below zero at the truth
+    _, point, plane = landscape_scan(d_true=5.0, d_range=(4.99, 5.01), step=1e-3,
+                                     num_antennas=8, fc=28e9)
+    values = np.concatenate([point, plane])
+    assert np.all(np.isfinite(values))
+    assert np.all(values >= 0.0)
 
 
 def test_landscape_plain_oscillates_beta_smooth():
