@@ -172,9 +172,13 @@ def _cmd_mle(args) -> tuple[str, dict]:
     path = _out_path(args, "trajectories.csv")
     result = sim.run_trajectory_experiment(spec, config, snr_db=snr_db, seed=args.seed)
     result.to_csv(path)
+    norms = [tr.final_grad_norm for tr in result.starts if not tr.diverged]
+    median_norm = np.median(norms) if norms else float("nan")
     return path, dict(seed=args.seed, snr_db=snr_db, num_starts=config.num_starts,
                       iterations=config.iterations, cost_variant=config.cost_variant,
                       converged_fraction=f"{result.converged_fraction():.4f}",
+                      diverged_starts=sum(tr.diverged for tr in result.starts),
+                      median_final_grad_norm=f"{median_norm:.6g}",
                       **asdict(spec))
 
 
@@ -231,7 +235,7 @@ def main(argv=None) -> int:
     try:
         path, extra = _COMMANDS[args.command](args)
         chanfile.write_metadata(chanfile.sidecar_path(path), _base_metadata(args, **extra))
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, mle.DivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -214,18 +214,44 @@ def rotation_from_tangent(omega, base: np.ndarray | None = None) -> np.ndarray:
     return R
 
 
-def rotation_from_tangent_batch(omega: np.ndarray) -> np.ndarray:
-    """Rodrigues map applied to a batch of tangent vectors, shape (S, 3) -> (S, 3, 3)."""
-    w = np.asarray(omega, dtype=float)
+def _rodrigues_terms(w: np.ndarray):
+    """skew(w), its square and the coefficients (sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3).
+
+    ``w`` has shape (S, 3) and t = ||w||. Below t = 1e-9 the coefficients take
+    their limits 1, 1/2 and 1/6; each one's error there, O(t^2), is below
+    double rounding. The second is taken in half-angle form, which keeps its
+    precision as t shrinks; the third loses it, but only multiplies K^2.
+    """
     theta = np.linalg.norm(w, axis=1)
     K = skew(w)
-    # below 1e-9 the second-order series; error O(theta^3) is below double rounding
     small = theta < 1e-9
     t = np.where(small, 1.0, theta)
     a = np.where(small, 1.0, np.sin(t) / t)
-    b = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
-    K2 = K @ K
-    return np.eye(3)[None] + a[:, None, None] * K + b[:, None, None] * K2
+    b = np.where(small, 0.5, 0.5 * (np.sin(t / 2.0) / (t / 2.0)) ** 2)
+    c = np.where(small, 1.0 / 6.0, (1.0 - a) / t**2)
+    return K, K @ K, a[:, None, None], b[:, None, None], c[:, None, None]
+
+
+def rotation_from_tangent_batch(omega: np.ndarray) -> np.ndarray:
+    """Rodrigues map applied to a batch of tangent vectors, shape (S, 3) -> (S, 3, 3)."""
+    K, K2, a, b, _ = _rodrigues_terms(np.asarray(omega, dtype=float))
+    return np.eye(3)[None] + a * K + b * K2
+
+
+def rotation_jacobian_batch(omega: np.ndarray) -> np.ndarray:
+    """Derivatives of the Rodrigues map, shape (S, 3) -> (S, 3, 3, 3).
+
+    Entry [s, i] is d expm(skew(w)) / d w_i at w = omega[s]. It is
+    skew(J e_i) @ expm(skew(w)) with J = I + b K + c K^2 the left Jacobian
+    of the rotation group, the compact formula of G. Gallego and A. Yezzi
+    (J. Math. Imaging Vis., 2015) with (I - R) e_i expanded in K. At
+    w = 0 it is exactly skew(e_i).
+    """
+    w = np.asarray(omega, dtype=float)
+    K, K2, _, b, c = _rodrigues_terms(w)
+    J = np.eye(3)[None] + b * K + c * K2
+    # skew of each column of J: [s, i] = skew(J[s, :, i])
+    return skew(np.swapaxes(J, 1, 2)) @ rotation_from_tangent_batch(w)[:, None]
 
 
 def rotation_log(R: np.ndarray) -> np.ndarray:
@@ -301,13 +327,14 @@ def tx_positions(spec: ArraySpec) -> np.ndarray:
     return _local_grid(spec.ntx, spec.nty, spec.dtx, spec.dty)
 
 
-def _rx_local_grid(spec: ArraySpec) -> np.ndarray:
+def rx_local_grid(spec: ArraySpec) -> np.ndarray:
+    """Receive antenna positions in the receive array's own frame, shape (nrx, nry, 3)."""
     return _local_grid(spec.nrx, spec.nry, spec.drx, spec.dry)
 
 
 def rx_positions(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
     """Receive antenna positions r + R @ local, shape (nrx, nry, 3)."""
-    local = _rx_local_grid(spec)
+    local = rx_local_grid(spec)
     return pose.r + np.einsum("ij,xyj->xyi", pose.R, local)
 
 
@@ -339,7 +366,7 @@ def pair_offsets(spec: ArraySpec, r: np.ndarray, R: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     R = np.asarray(R, dtype=float)
-    rx = r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, _rx_local_grid(spec))
+    rx = r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, rx_local_grid(spec))
     return rx[:, :, :, None, None, :] - tx_positions(spec)[None, None, None, :, :, :]
 
 
@@ -373,10 +400,21 @@ def synth_batch(spec: ArraySpec, r: np.ndarray, R: np.ndarray,
     """Channel tensors for a batch of poses, shape (S, nrx, nry, ntx, nty, nf).
 
     ``r`` has shape (S, 3) and ``R`` shape (S, 3, 3). Rotations are not
-    validated; this is the hot path of the pose optimizer.
+    validated.
     """
     r = np.asarray(r, dtype=float)
     dist = np.linalg.norm(pair_offsets(spec, r, R), axis=-1)
+    return synth_from_distances(spec, r, dist, unit_amplitude)
+
+
+def synth_from_distances(spec: ArraySpec, r: np.ndarray, dist: np.ndarray,
+                         unit_amplitude: bool = False) -> np.ndarray:
+    """Channel tensors from the pair distances ``dist`` (S, nrx, nry, ntx, nty).
+
+    ``r`` (S, 3) gives the center distance of the amplitude factor. The
+    result, shape (S, nrx, nry, ntx, nty, nf), is what ``synth_batch``
+    returns for the poses whose pair distances these are.
+    """
     phase = (-2.0 * np.pi / spec.wavelength) * dist[..., None] * frequency_factors(spec)
     h = np.exp(1j * phase)
     if not unit_amplitude:

@@ -4,8 +4,9 @@ Three cost functionals over the pose (r, R), closed-form attenuation
 estimates, and a multi-start first-order optimizer. Rotations are
 parameterized as R = R0 @ expm(skew(omega)) with R0 the per-start initial
 rotation, so the optimization runs over six unconstrained reals (r, omega).
-Gradients are central finite differences; all starts are advanced together
-as one batched computation.
+Each iteration takes every start's cost and its closed-form gradient in one
+pass over the channel, the chain rule running from the cost through the pair
+distances to (r, omega); the starts advance together, evaluated in blocks.
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ from .chanfile import write_csv
 from .geometry import (
     ArraySpec,
     GeometryPose,
+    frequency_factors,
+    pair_offsets,
     rotation_from_tangent_batch,
+    rotation_jacobian_batch,
+    rx_local_grid,
     sample_pose,
     synth,
     synth_batch,
+    synth_from_distances,
 )
 
 COST_VARIANTS = ("plain", "complex_beta", "unit_beta")
@@ -30,7 +36,9 @@ COST_VARIANTS = ("plain", "complex_beta", "unit_beta")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-FD_STEP = 1e-6  # relative central-difference step
+# channel entries per block of the cost-and-gradient pass: 32 starts of the
+# 32x32 link, which bounds its temporaries to a few MB for any start count
+GRAD_BLOCK_ENTRIES = 32768
 
 _DB_FLOOR = 1e-30  # linear cost floor so dB trajectories stay finite
 
@@ -48,8 +56,8 @@ class MleConfig:
     def __post_init__(self):
         if self.cost_variant not in COST_VARIANTS:
             raise ValueError(f"cost_variant must be one of {COST_VARIANTS}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.num_starts < 1:
@@ -62,7 +70,9 @@ class Trajectory:
 
     ``costs_db`` has length iterations + 1 (the initial cost is included).
     ``converged`` is set by experiment drivers relative to the genie proxy;
-    ``diverged`` marks a non-finite cost encountered during the run.
+    ``diverged`` marks a non-finite cost or gradient encountered during the
+    run. ``final_grad_norm`` is the norm of the (r, omega) gradient of the
+    last update, NaN for a diverged start.
     """
 
     costs_db: np.ndarray
@@ -72,6 +82,11 @@ class Trajectory:
     converged: bool = False
     diverged: bool = False
     final_cost: float = field(default=float("nan"))
+    final_grad_norm: float = field(default=float("nan"))
+
+
+class DivergedError(RuntimeError):
+    """Every optimizer start reached a non-finite cost or gradient."""
 
 
 def _fit(y: np.ndarray, h: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
@@ -132,23 +147,73 @@ def beta_hat(y, spec: ArraySpec, pose: GeometryPose, variant: str = "complex_bet
     return complex(beta)
 
 
-def _batched_cost(y, spec, params, base_rotations, variant):
+def batched_cost(y, spec: ArraySpec, params, base_rotations, variant: str) -> np.ndarray:
+    """Cost of each start, shape (S,), at ``params`` (S, 6) = (r, omega).
+
+    Start s has the pose (r, base_rotations[s] @ expm(skew(omega))).
+    """
     r = params[:, :3]
     R = base_rotations @ rotation_from_tangent_batch(params[:, 3:])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        h = synth_batch(spec, r, R)
-        return _fit(np.asarray(y), h, variant)[1]
+    return _fit(np.asarray(y), synth_batch(spec, r, R), variant)[1]
 
 
+def _cost_and_grad_block(y, spec, params, base_rotations, variant):
+    r, omega = params[:, :3], params[:, 3:]
+    offsets = pair_offsets(spec, r, base_rotations @ rotation_from_tangent_batch(omega))
+    dist = np.linalg.norm(offsets, axis=-1)
+    h = synth_from_distances(spec, r, dist)
+    beta, cost = _fit(y, h, variant)
+    beta = beta.reshape((-1,) + (1,) * (h.ndim - 1))
+    # d cost = Re sum conj(z) dh with z = -(2/N) conj(beta) (y - beta h); beta
+    # is the optimum of its variant, so its own variation drops out
+    zh = (-2.0 / y.size) * beta * np.conj(y - beta * h) * h
+    # h = (D / d) exp(j kappa f d): the weight of each pair distance, and of
+    # log D through the amplitude
+    kappa = -2.0 * np.pi / spec.wavelength
+    g = np.sum((zh * (-1.0 / dist[..., None] + 1j * kappa * frequency_factors(spec))).real,
+               axis=-1)
+    amp = np.sum(zh.real, axis=tuple(range(1, h.ndim)))
+    # sum over transmit antennas of g u, u = offset / d the unit pair vector
+    gu = np.einsum("sxyabi,sxyab->sxyi", offsets, g / dist)
+    grad = np.empty_like(params)
+    grad[:, :3] = gu.sum(axis=(1, 2)) + (amp / np.sum(r * r, axis=1))[:, None] * r
+    # d cost / dR = M = sum g u p_rx^T over pairs, p_rx in the array frame
+    M = np.einsum("sxyi,xyj->sij", gu, rx_local_grid(spec))
+    dR = base_rotations[:, None] @ rotation_jacobian_batch(omega)
+    grad[:, 3:] = np.sum(dR * M[:, None], axis=(2, 3))
+    return cost, grad
+
+
+def cost_and_grad(y, spec: ArraySpec, params, base_rotations, variant: str):
+    """``batched_cost`` and its gradient over (r, omega), shapes (S,) and (S, 6).
+
+    Starts are evaluated in blocks of about GRAD_BLOCK_ENTRIES channel
+    entries; each start's numbers do not depend on the block it lands in.
+    """
+    y = np.asarray(y, dtype=complex)
+    cost = np.empty(len(params))
+    grad = np.empty_like(params)
+    block = max(1, GRAD_BLOCK_ENTRIES // spec.size)
+    for lo in range(0, len(params), block):
+        part = slice(lo, lo + block)
+        cost[part], grad[part] = _cost_and_grad_block(
+            y, spec, params[part], base_rotations[part], variant)
+    return cost, grad
+
+
+# a start whose numbers overflow or turn NaN is frozen and marked diverged
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
              init_poses=None, labels=None):
     """Multi-start adaptive-moment descent over (r, omega).
 
     Starts are drawn from the configured shell (volume-uniform translation,
     Haar rotation) unless ``init_poses`` is given. All starts advance in one
-    batched loop; gradients are central finite differences with a relative
-    step. Returns (best final pose, list of Trajectory), where the best is
-    the non-diverged start with the lowest final cost.
+    batched loop; each iteration takes the costs and their closed-form
+    gradients in one pass. A start whose cost or gradient turns non-finite
+    is frozen and marked diverged. Returns (best final pose, list of
+    Trajectory), where the best is the non-diverged start with the lowest
+    final cost; raises DivergedError when every start diverged.
     """
     y = np.asarray(y, dtype=complex)
     if init_poses is None:
@@ -167,25 +232,10 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
     costs = np.empty((config.iterations + 1, S))
     frozen = np.zeros(S, dtype=bool)
 
-    def record(t):
-        c = _batched_cost(y, spec, params, base_rotations, config.cost_variant)
-        costs[t] = c
-        return c
-
     for t in range(1, config.iterations + 1):
-        c = record(t - 1)
-        frozen |= ~np.isfinite(c)
-        grad = np.zeros_like(params)
-        for j in range(6):
-            step = FD_STEP * np.maximum(1.0, np.abs(params[:, j]))
-            up = params.copy()
-            up[:, j] += step
-            down = params.copy()
-            down[:, j] -= step
-            cp = _batched_cost(y, spec, up, base_rotations, config.cost_variant)
-            cm = _batched_cost(y, spec, down, base_rotations, config.cost_variant)
-            grad[:, j] = (cp - cm) / (2.0 * step)
-        frozen |= ~np.all(np.isfinite(grad), axis=1)
+        costs[t - 1], grad = cost_and_grad(y, spec, params, base_rotations,
+                                            config.cost_variant)
+        frozen |= ~np.isfinite(costs[t - 1]) | ~np.all(np.isfinite(grad), axis=1)
         grad[frozen] = 0.0
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
@@ -194,8 +244,9 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
         update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         update[frozen] = 0.0
         params -= update
-    final = record(config.iterations)
+    final = costs[-1] = batched_cost(y, spec, params, base_rotations, config.cost_variant)
     frozen |= ~np.isfinite(final)
+    grad_norm = np.where(frozen, np.nan, np.linalg.norm(grad, axis=1))
 
     rotations = base_rotations @ rotation_from_tangent_batch(params[:, 3:])
     trajectories = []
@@ -204,8 +255,7 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
         pose = None
         if np.all(np.isfinite(params[s])) and np.linalg.norm(params[s, :3]) > 0:
             pose = GeometryPose(r=params[s, :3], R=rotations[s])
-        with np.errstate(invalid="ignore"):
-            costs_db = 10.0 * np.log10(np.maximum(costs[:, s], _DB_FLOOR))
+        costs_db = 10.0 * np.log10(np.maximum(costs[:, s], _DB_FLOOR))
         trajectories.append(Trajectory(
             costs_db=costs_db,
             final_pose=pose,
@@ -213,10 +263,12 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
             label=labels[s],
             diverged=diverged,
             final_cost=float(final[s]),
+            final_grad_norm=float(grad_norm[s]),
         ))
     usable = [tr for tr in trajectories if not tr.diverged and tr.final_pose is not None]
     if not usable:
-        raise RuntimeError("every start diverged")
+        raise DivergedError("every start diverged: a non-finite cost or gradient; "
+                            "a smaller learning_rate may help")
     best = min(usable, key=lambda tr: tr.final_cost)
     return best.final_pose, trajectories
 

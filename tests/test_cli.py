@@ -97,6 +97,26 @@ def test_mle_trajectories(tmp_path):
     rows = (tmp_path / "trajectories.csv").read_text().strip().splitlines()
     assert rows[0] == "Iteration,Best_1_Cost_dB,Best_2_Cost_dB,Best_3_Cost_dB,Proxy_Cost_dB"
     assert len(rows) == 10  # iterations + initial cost + header
+    meta = chanfile.read_metadata(tmp_path / "trajectories.csv.meta")
+    assert meta["diverged_starts"] == "0"
+    assert float(meta["median_final_grad_norm"]) >= 0.0
+
+
+# a rate that is not a finite positive number, and one so large that every
+# start (the genie included) leaves the representable range at its first step
+@pytest.mark.parametrize("rate, message", [("inf", "learning_rate"),
+                                           ("nan", "learning_rate"),
+                                           ("1e200", "every start diverged")])
+def test_mle_bad_learning_rate_exit_2(tmp_path, capsys, rate, message):
+    config = tmp_path / "mle.cfg"
+    config.write_text(f"learning_rate = {rate}\niterations = 2\n")
+    code = main(["mle", "--preset", "fig3a", "--config", str(config),
+                 "--starts", "2", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "trajectories.csv.meta").exists()
 
 
 def test_landscape_output(tmp_path):

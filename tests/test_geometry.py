@@ -16,6 +16,8 @@ from nearwave.geometry import (
     random_rotation,
     rotation_from_euler,
     rotation_from_tangent,
+    rotation_from_tangent_batch,
+    rotation_jacobian_batch,
     rotation_log,
     sample_pose,
     skew,
@@ -86,6 +88,32 @@ def test_tangent_inverse_property():
         w = rng.normal(size=3)
         R = rotation_from_tangent(w) @ rotation_from_tangent(-w)
         assert np.max(np.abs(R - np.eye(3))) < 1e-10
+
+
+def test_rotation_jacobian_exact_at_zero():
+    J = rotation_jacobian_batch(np.zeros((1, 3)))[0]
+    for i in range(3):
+        assert np.array_equal(J[i], skew(np.eye(3)[i]))
+
+
+# tangent norms: zero, both sides of the 1e-9 small-angle switch, generic
+@settings(max_examples=80, deadline=None)
+@given(direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       norm=st.sampled_from([0.0, 3e-10, 3e-9, 1e-5]) | st.floats(1e-3, 3.0))
+def test_rotation_jacobian_matches_finite_differences(direction, norm):
+    u = np.array(direction)
+    if np.linalg.norm(u) < 1e-3:
+        u = np.array([1.0, 0.0, 0.0])
+    w = norm * u / np.linalg.norm(u)
+    J = rotation_jacobian_batch(w[None])[0]
+    step = 1e-6
+    for i in range(3):
+        e = step * np.eye(3)[i]
+        fd = (rotation_from_tangent_batch((w + e)[None])[0]
+              - rotation_from_tangent_batch((w - e)[None])[0]) / (2.0 * step)
+        # central differences of entries of size <= 1: truncation step^2/6 plus
+        # rounding of a few ULPs over 2 step, together below 1e-9
+        assert np.max(np.abs(J[i] - fd)) < 1e-9
 
 
 def test_rotation_log_round_trip():
