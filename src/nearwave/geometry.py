@@ -125,12 +125,9 @@ def geometric_parameter_count(tx_topology: str, rx_topology: str) -> int:
     Accepts the five supported pairs in either order, e.g.
     ``("linear", "single") -> 2`` and ``("planar", "planar") -> 6``.
     """
-    key = (tx_topology, rx_topology)
-    if key in _TOPOLOGY_PARAMS:
-        return _TOPOLOGY_PARAMS[key]
-    key = (rx_topology, tx_topology)
-    if key in _TOPOLOGY_PARAMS:
-        return _TOPOLOGY_PARAMS[key]
+    for key in ((tx_topology, rx_topology), (rx_topology, tx_topology)):
+        if key in _TOPOLOGY_PARAMS:
+            return _TOPOLOGY_PARAMS[key]
     raise ValueError(f"unsupported topology pair: ({tx_topology}, {rx_topology})")
 
 
@@ -172,26 +169,6 @@ class GeometryPose:
         return self.r / self.distance
 
 
-def rotation_x(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rotation_y(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rotation_z(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rotation_from_euler(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
-    """Rotation composed as Rz(phi_z) @ Ry(phi_y) @ Rx(phi_x)."""
-    return rotation_z(phi_z) @ rotation_y(phi_y) @ rotation_x(phi_x)
-
-
 def skew(omega) -> np.ndarray:
     """Skew-symmetric 3x3 matrix such that skew(w) @ v == cross(w, v); batches (..., 3)."""
     w = np.asarray(omega, dtype=float)
@@ -202,16 +179,9 @@ def skew(omega) -> np.ndarray:
     return K
 
 
-def rotation_from_tangent(omega, base: np.ndarray | None = None) -> np.ndarray:
-    """Rotation base @ expm(skew(omega)) via the Rodrigues closed form.
-
-    The closed form is exact for skew-symmetric 3x3 matrices; ``base``
-    defaults to the identity.
-    """
-    R = rotation_from_tangent_batch(np.asarray(omega, dtype=float).reshape(1, 3))[0]
-    if base is not None:
-        R = np.asarray(base, dtype=float) @ R
-    return R
+def rotation_from_tangent(omega) -> np.ndarray:
+    """Rotation expm(skew(omega)) via the Rodrigues closed form, exact for 3x3 skew matrices."""
+    return rotation_from_tangent_batch(np.asarray(omega, dtype=float).reshape(1, 3))[0]
 
 
 def _rodrigues_terms(w: np.ndarray):
@@ -236,6 +206,12 @@ def rotation_from_tangent_batch(omega: np.ndarray) -> np.ndarray:
     """Rodrigues map applied to a batch of tangent vectors, shape (S, 3) -> (S, 3, 3)."""
     K, K2, a, b, _ = _rodrigues_terms(np.asarray(omega, dtype=float))
     return np.eye(3)[None] + a * K + b * K2
+
+
+def rotation_from_euler(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
+    """Rotation composed as Rz(phi_z) @ Ry(phi_y) @ Rx(phi_x), each factor expm(skew(phi e_i))."""
+    Rx, Ry, Rz = rotation_from_tangent_batch(np.diag([phi_x, phi_y, phi_z]))
+    return Rz @ Ry @ Rx
 
 
 def rotation_jacobian_batch(omega: np.ndarray) -> np.ndarray:

@@ -69,15 +69,14 @@ class Trajectory:
     """Cost history of one optimizer start.
 
     ``costs_db`` has length iterations + 1 (the initial cost is included).
-    ``converged`` is set by experiment drivers relative to the genie proxy;
-    ``diverged`` marks a non-finite cost or gradient encountered during the
-    run. ``final_grad_norm`` is the norm of the (r, omega) gradient of the
-    last update, NaN for a diverged start.
+    ``label`` and ``converged`` are set by the caller, the latter relative to
+    the genie proxy; ``diverged`` marks a non-finite cost or gradient
+    encountered during the run. ``final_grad_norm`` is the norm of the
+    (r, omega) gradient of the last update, NaN for a diverged start.
     """
 
     costs_db: np.ndarray
     final_pose: GeometryPose | None
-    start_index: int
     label: str = "random"
     converged: bool = False
     diverged: bool = False
@@ -204,7 +203,7 @@ def cost_and_grad(y, spec: ArraySpec, params, base_rotations, variant: str):
 # a start whose numbers overflow or turn NaN is frozen and marked diverged
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
-             init_poses=None, labels=None):
+             init_poses=None):
     """Multi-start adaptive-moment descent over (r, omega).
 
     Starts are drawn from the configured shell (volume-uniform translation,
@@ -221,8 +220,6 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
                       for _ in range(config.num_starts)]
     poses = list(init_poses)
     S = len(poses)
-    if labels is None:
-        labels = ["random"] * S
     params = np.zeros((S, 6))
     params[:, :3] = [p.r for p in poses]
     base_rotations = np.stack([p.R for p in poses])
@@ -251,7 +248,6 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
     rotations = base_rotations @ rotation_from_tangent_batch(params[:, 3:])
     trajectories = []
     for s in range(S):
-        diverged = bool(frozen[s]) or not np.all(np.isfinite(costs[:, s]))
         pose = None
         if np.all(np.isfinite(params[s])) and np.linalg.norm(params[s, :3]) > 0:
             pose = GeometryPose(r=params[s, :3], R=rotations[s])
@@ -259,9 +255,7 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
         trajectories.append(Trajectory(
             costs_db=costs_db,
             final_pose=pose,
-            start_index=s,
-            label=labels[s],
-            diverged=diverged,
+            diverged=bool(frozen[s]),
             final_cost=float(final[s]),
             final_grad_norm=float(grad_norm[s]),
         ))

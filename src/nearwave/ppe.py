@@ -45,9 +45,10 @@ def diff(signal: np.ndarray, axis: int) -> np.ndarray:
     signal = np.asarray(signal)
     if signal.shape[axis] < 2:
         raise ValueError(f"axis {axis} is exhausted (extent {signal.shape[axis]})")
-    upper = np.take(signal, np.arange(1, signal.shape[axis]), axis=axis)
-    lower = np.take(signal, np.arange(signal.shape[axis] - 1), axis=axis)
-    return upper * np.conj(lower)
+    upper = [slice(None)] * signal.ndim
+    lower = list(upper)
+    upper[axis], lower[axis] = slice(1, None), slice(None, -1)
+    return signal[tuple(upper)] * np.conj(signal[tuple(lower)])
 
 
 def diff_multi(signal: np.ndarray, m) -> np.ndarray:

@@ -218,7 +218,6 @@ class TrajectoryExperiment:
     seed: int
     proxy: mle.Trajectory
     starts: list[mle.Trajectory]
-    best_pose: GeometryPose
 
     @property
     def ranked(self) -> list[mle.Trajectory]:
@@ -248,14 +247,13 @@ def run_trajectory_experiment(spec: ArraySpec, config: mle.MleConfig,
     y = add_noise(synth(spec, pose), snr_db, rng)
     inits = [sample_pose(rng, *config.init_shell) for _ in range(config.num_starts)]
     inits.append(pose)
-    labels = ["random"] * config.num_starts + ["genie"]
-    best_pose, trajectories = mle.optimize(y, spec, config, rng,
-                                           init_poses=inits, labels=labels)
+    _, trajectories = mle.optimize(y, spec, config, rng, init_poses=inits)
     proxy = trajectories[-1]
     starts = trajectories[:-1]
     for tr in starts:
         tr.converged = bool(tr.costs_db[-1] <= proxy.costs_db[-1] + 1.0)
+    proxy.label = "genie"
     proxy.converged = True
     return TrajectoryExperiment(spec=spec, config=config, snr_db=snr_db, seed=seed,
-                                proxy=proxy, starts=starts, best_pose=best_pose)
+                                proxy=proxy, starts=starts)
 

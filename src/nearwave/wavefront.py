@@ -78,17 +78,20 @@ def range_factor_taylor(order: int, r_hat, delta):
         raise ValueError("order must be >= 0")
     r_hat = np.asarray(r_hat, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    t = np.linalg.norm(delta, axis=-1)
-    s = delta @ r_hat
+    t, x = _series_variables(r_hat, delta)
     total = np.ones_like(t)
     if order >= 1:
-        total = total + s
-    if order >= 2:
-        safe_t = np.where(t > 0.0, t, 1.0)
-        x = np.where(t > 0.0, s / safe_t, 0.0)
-        for ell in range(2, order + 1):
-            total = total + sqrt_series_coeff(ell, x) * (-t) ** ell
+        total = total + delta @ r_hat
+    for ell in range(2, order + 1):
+        total = total + sqrt_series_coeff(ell, x) * (-t) ** ell
     return total if total.ndim else float(total)
+
+
+def _series_variables(r_hat: np.ndarray, delta: np.ndarray):
+    """(t, x) of the series in (-t): t = ||delta|| and x = r_hat . delta / t, 0 where t = 0."""
+    t = np.linalg.norm(delta, axis=-1)
+    safe_t = np.where(t > 0.0, t, 1.0)
+    return t, np.where(t > 0.0, (delta @ r_hat) / safe_t, 0.0)
 
 
 def normalized_offsets(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
@@ -315,25 +318,16 @@ def truncation_dominant_term(order: int, distance: float, wavelength: float,
                              r_hat, delta):
     """Exact magnitude (radians) of the lowest-degree truncated phase term.
 
-    This is the quantity that truncation_bound dominates; equality holds at
-    r_hat . delta = 0 for orders 1 and 3 and at r_hat . delta_unit =
-    +-1/sqrt(3) for order 2.
+    It is 2 pi D / wl * |sqrt_series_coeff(order + 1, x)| * t^(order + 1),
+    with t = ||delta|| and x = r_hat . delta / t. This is the quantity that
+    truncation_bound dominates; equality holds at x = 0 for orders 1 and 3
+    and at x = +-1/sqrt(3) for order 2.
     """
     if order not in _BOUND_SCALE:
         raise ValueError("order must be 1, 2, or 3")
-    r_hat = np.asarray(r_hat, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    t = np.linalg.norm(delta, axis=-1)
-    safe_t = np.where(t > 0.0, t, 1.0)
-    x = np.where(t > 0.0, (delta @ r_hat) / safe_t, 0.0)
+    t, x = _series_variables(np.asarray(r_hat, dtype=float), np.asarray(delta, dtype=float))
     lead = 2.0 * np.pi * distance / wavelength
-    if order == 1:
-        poly = 0.5 * np.abs(1.0 - x**2)
-    elif order == 2:
-        poly = 0.5 * np.abs(x - x**3)
-    else:
-        poly = np.abs(1.0 - 6.0 * x**2 + 5.0 * x**4) / 8.0
-    out = lead * poly * t ** (order + 1)
+    out = lead * np.abs(sqrt_series_coeff(order + 1, x)) * t ** (order + 1)
     return out if out.ndim else float(out)
 
 

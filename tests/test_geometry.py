@@ -61,6 +61,14 @@ def test_euler_orthonormal_fuzz():
         assert abs(np.linalg.det(R) - 1) < 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3))
+def test_euler_is_product_of_axis_exponentials(angles):
+    # Rz @ Ry @ Rx with each factor the series oracle of expm(skew(phi e_i))
+    Rx, Ry, Rz = (expm_series(skew(phi * e)) for phi, e in zip(angles, np.eye(3)))
+    assert np.max(np.abs(rotation_from_euler(*angles) - Rz @ Ry @ Rx)) < 1e-12
+
+
 def test_tangent_zero_is_identity():
     assert np.allclose(rotation_from_tangent([0, 0, 0]), np.eye(3))
 

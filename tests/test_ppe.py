@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearwave.ppe import (
     binomial,
@@ -187,6 +189,31 @@ def test_estimate_noiseless_round_trip(shape, L):
     assert fitted.as_dict().keys() == truth.as_dict().keys()
     for m, a in truth.as_dict().items():
         assert fitted.coefficient(m) == pytest.approx(a, abs=1e-9)
+    assert np.max(np.abs(reconstruct(fitted) - y)) < 1e-9
+
+
+@st.composite
+def lattice_models(draw):
+    """Polynomial phase truth of degree L <= 3 on a lattice of rank 1 to 5.
+
+    Non-singleton axes hold at least L + 1 samples and the coefficients lie
+    in +-0.45 cycles, inside the estimator's wrap domain.
+    """
+    L = draw(st.integers(0, 3))
+    extent = st.just(1) | st.integers(max(2, L + 1), L + 3)
+    shape = tuple(draw(st.lists(extent, min_size=1, max_size=5)))
+    ds = degree_set_for_shape(L, shape)
+    coeffs = draw(st.lists(st.floats(-0.45, 0.45), min_size=len(ds), max_size=len(ds)))
+    return L, PolyPhaseModel(shape=shape, degrees=ds.degrees, coeffs=coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lattice_models())
+def test_estimate_noiseless_round_trip_property(case):
+    L, truth = case
+    y = approx_channel(truth)
+    fitted = estimate(y, degree_set_for_shape(L, truth.shape))
+    assert np.max(np.abs(fitted.coeffs - truth.coeffs)) < 1e-9
     assert np.max(np.abs(reconstruct(fitted) - y)) < 1e-9
 
 

@@ -319,6 +319,26 @@ def test_dominant_term_equality_configurations():
         truncation_bound(2, D, lam, t), rel=1e-12)
 
 
+def test_dominant_term_is_difference_of_truncations():
+    # the first dropped term is the step from the order-L to the order-(L+1)
+    # truncation; x stays away from the roots of the series coefficients and
+    # t >= 0.2, so the oracle's cancellation error stays below 1e-10 relative
+    D, lam = 10.0, 0.01
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        r_hat = _random_unit(rng)
+        u = np.cross(r_hat, _random_unit(rng))
+        u /= np.linalg.norm(u)
+        for x in (-0.9, -0.6, -0.3, 0.15, 0.5, 0.8):
+            for t in (0.2, 0.35, 0.5):
+                delta = t * (x * r_hat + math.sqrt(1.0 - x**2) * u)
+                for L in (1, 2, 3):
+                    step = (range_factor_taylor(L + 1, r_hat, delta)
+                            - range_factor_taylor(L, r_hat, delta))
+                    assert truncation_dominant_term(L, D, lam, r_hat, delta) == pytest.approx(
+                        2.0 * np.pi * D / lam * abs(step), rel=1e-9)
+
+
 def test_fraunhofer_distance():
     assert fraunhofer_distance(0.155, 0.155, 0.01) == pytest.approx(19.22)
     assert fraunhofer_distance(0.1, 0.1, 0.005) == pytest.approx(
