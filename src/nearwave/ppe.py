@@ -11,7 +11,7 @@ coefficients inside one wrap cycle.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .wavefront import (
     DegreeSet,
     PolyPhaseModel,
     approx_channel,
-    basis_on_lattice,
+    basis_on_lattice,  # re-exported: callers look it up as ppe.basis_on_lattice
+    basis_on_support,
     binomial,
     fit_on_grid,
 )
@@ -52,19 +53,22 @@ def diff(signal: np.ndarray, axis: int) -> np.ndarray:
 
 
 def diff_multi(signal: np.ndarray, m) -> np.ndarray:
-    """Apply ``m_d`` conjugate-product differences along each axis d."""
+    """Apply ``m_d`` conjugate-product differences along each leading axis d."""
     out = np.asarray(signal)
+    if len(m) > out.ndim or any(int(k) < 0 for k in m):
+        raise ValueError(f"need at most {out.ndim} entries m_d >= 0, got {tuple(m)}")
     for axis, reps in enumerate(m):
         for _ in range(int(reps)):
             out = diff(out, axis)
     return out
 
 
+@lru_cache(maxsize=256)
 def _weights_1d(m: int, n: int) -> np.ndarray:
     idx = np.arange(n - m)
-    num = binomial(idx + m, m) * binomial(n - idx - 1, m)
-    den = binomial(n + m, 2 * m + 1)
-    return num / den
+    out = binomial(idx + m, m) * binomial(n - idx - 1, m) / binomial(n + m, 2 * m + 1)
+    out.flags.writeable = False
+    return out
 
 
 def weights(m, shape) -> np.ndarray:
@@ -75,10 +79,10 @@ def weights(m, shape) -> np.ndarray:
     """
     m = tuple(int(v) for v in m)
     shape = tuple(int(n) for n in shape)
-    if any(k < 0 or k >= n for k, n in zip(m, shape)):
-        raise ValueError("need 0 <= m_d < N_d on every axis")
+    if len(m) != len(shape) or any(k < 0 or k >= n for k, n in zip(m, shape)):
+        raise ValueError(f"need 0 <= m_d < N_d on every axis, got m = {m}, N = {shape}")
     factors = [_weights_1d(k, n) for k, n in zip(m, shape)]
-    return reduce(np.multiply.outer, factors)
+    return reduce(np.multiply.outer, factors, np.ones(()))  # a new array, never a cached factor
 
 
 def circular_average(signal: np.ndarray, m) -> complex:
@@ -89,6 +93,8 @@ def circular_average(signal: np.ndarray, m) -> complex:
     residual phases wrapped around it. ``m`` is the degree that produced
     ``signal``, which sets the weight table.
     """
+    if len(m) != np.ndim(signal):
+        raise ValueError(f"degree {tuple(m)} does not match the signal rank {np.ndim(signal)}")
     flat = np.asarray(signal).ravel()
     if flat.size == 0:
         raise ValueError("empty signal")
@@ -135,7 +141,7 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
         differenced = diff_multi(work, m)
         a = np.angle(circular_average(differenced, m)) / (2.0 * np.pi)
         coeffs[i] = a
-        work *= np.exp(-2j * np.pi * a * basis_on_lattice(work.shape, m))
+        work *= np.exp(-2j * np.pi * a * basis_on_support(y.shape, m))
     return PolyPhaseModel(shape=y.shape, degrees=rows, coeffs=coeffs)
 
 
@@ -172,6 +178,6 @@ def expand_to_lattice(model: PolyPhaseModel, coords, full_shape,
     m_max = np.maximum(rows.max(axis=0), model.degrees.max(axis=0))
     if np.any(m_max + 1 > np.asarray(model.shape)):
         raise ValueError("sublattice too small to determine the full-lattice basis")
-    sub_idx = tuple(np.arange(int(k) + 1) for k in m_max)
-    grid = tuple(c[idx] for c, idx in zip(coords, sub_idx))
-    return fit_on_grid(grid, model.phase_at(sub_idx), full_shape, rows)
+    corner = tuple(slice(int(k) + 1) for k in m_max)
+    grid = tuple(c[s] for c, s in zip(coords, corner))
+    return fit_on_grid(grid, model.phase_cycles()[corner], full_shape, rows)

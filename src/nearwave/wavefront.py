@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -206,6 +206,14 @@ def basis_on_lattice(shape, m) -> np.ndarray:
     return basis_at(tuple(np.arange(n) for n in shape), m)
 
 
+@lru_cache(maxsize=512)
+def basis_on_support(shape: tuple[int, ...], m: tuple[int, ...]) -> np.ndarray:
+    """Read-only, cached p_m on ``shape``, of extent 1 (factor 1.0) where m_d = 0, to broadcast."""
+    out = basis_at(tuple(np.arange(n if k else 1) for n, k in zip(shape, m)), m)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class PolyPhaseModel:
     """Polynomial phase model: degrees and real coefficients in cycles.
@@ -241,16 +249,12 @@ class PolyPhaseModel:
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return {tuple(row): float(a) for row, a in zip(self.degrees, self.coeffs)}
 
-    def phase_at(self, coords) -> np.ndarray:
-        """Phase polynomial in cycles on a product grid of integer coordinates."""
-        out = np.zeros(tuple(len(np.atleast_1d(c)) for c in coords))
-        for m, a in zip(self.degrees, self.coeffs):
-            out += a * basis_at(coords, m)
-        return out
-
     def phase_cycles(self) -> np.ndarray:
-        """Phase polynomial in cycles over the full lattice."""
-        return self.phase_at(tuple(np.arange(n) for n in self.shape))
+        """Phase polynomial in cycles over the full lattice, summed in term order."""
+        out = np.zeros(self.shape)
+        for m, a in zip(self.degrees.tolist(), self.coeffs):
+            out += a * basis_on_support(self.shape, tuple(m))
+        return out
 
 
 def approx_channel(model: PolyPhaseModel) -> np.ndarray:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearwave import ppe
 from nearwave.ppe import (
+    basis_on_lattice,
     binomial,
     circular_average,
     diff,
@@ -18,6 +20,7 @@ from nearwave.ppe import (
 from nearwave.wavefront import (
     PolyPhaseModel,
     approx_channel,
+    basis_on_support,
     degree_set_for_shape,
 )
 
@@ -74,6 +77,14 @@ def test_diff_multi_identity_and_quadratic():
     assert np.allclose(out, np.exp(2j * np.pi * a))
 
 
+def test_diff_multi_rejects_negative_and_extra_entries():
+    s = np.ones((4, 3), dtype=complex)
+    with pytest.raises(ValueError, match="m_d >= 0"):
+        diff_multi(s, (1, -1))
+    with pytest.raises(ValueError, match="at most 2 entries"):
+        diff_multi(s, (1, 0, 1))
+
+
 def test_diff_multi_axis_order_commutes():
     rng = np.random.default_rng(2)
     s = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(6, 5, 4)))
@@ -116,6 +127,10 @@ def test_weights_normalized_and_symmetric_fuzz():
 def test_weights_validates_degree():
     with pytest.raises(ValueError):
         weights((4,), (4,))
+    with pytest.raises(ValueError, match=r"got m = \(1,\), N = \(4, 4\)"):
+        weights((1,), (4, 4))  # rank mismatch
+    with pytest.raises(ValueError, match="on every axis"):
+        weights((1, 0), (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +161,13 @@ def test_circular_average_rejects_zeros():
         circular_average(s, (0,))
     with pytest.raises(ValueError):
         circular_average(np.zeros(8, dtype=complex), (0,))
+
+
+def test_circular_average_rejects_rank_mismatch():
+    s = np.ones((3, 3), dtype=complex)
+    for m in [(0,), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="signal rank 2"):
+            circular_average(s, m)
 
 
 def test_circular_average_variance_matches_weighted_mean():
@@ -334,3 +356,90 @@ def test_estimate_runtime_scales_linearly():
     t_small = run(1 << 16)
     t_big = run(1 << 17)
     assert t_big <= 2.5 * t_small
+
+
+# ---------------------------------------------------------------------------
+# cached tables
+# ---------------------------------------------------------------------------
+
+
+def peel_oracle(y, rows):
+    """The peel with every table rebuilt per term and a full-lattice update; (coeffs, recon)."""
+    order = sorted(range(len(rows)), key=lambda i: (int(rows[i].sum()), tuple(rows[i])),
+                   reverse=True)
+    work = y.copy()
+    coeffs = np.empty(len(rows))
+    for i in order:
+        m = tuple(int(v) for v in rows[i])
+        flat = diff_multi(work, m).ravel()
+        total = (flat / np.abs(flat)).sum()
+        residual = np.angle(flat * np.conj(total))
+        w = weights(m, y.shape).ravel()
+        a = np.angle(total / abs(total) * np.exp(1j * float(w @ residual))) / (2.0 * np.pi)
+        coeffs[i] = a
+        work *= np.exp(-2j * np.pi * a * basis_on_lattice(work.shape, m))
+    phase = np.zeros(y.shape)
+    for m, a in zip(rows, coeffs):
+        phase += a * basis_on_lattice(y.shape, m)
+    return coeffs, np.exp(2j * np.pi * phase)
+
+
+def evict_table_caches():
+    """Fill both table caches with more distinct keys than they hold."""
+    for n in range(2, ppe._weights_1d.cache_info().maxsize + 3):
+        weights((1,), (n,))
+    for n in range(2, basis_on_support.cache_info().maxsize + 3):
+        basis_on_support((n,), (1,))
+
+
+@st.composite
+def noisy_peels(draw):
+    """Complex Gaussian input on a lattice of rank 1 to 5 with extents >= 2, and its degrees.
+
+    Degrees run 0 to 3 per axis, below the extent; the rows are distinct.
+    """
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=5)))
+    row = st.tuples(*[st.integers(0, min(3, n - 1)) for n in shape])
+    rows = np.array(draw(st.lists(row, min_size=1, max_size=8, unique=True)), dtype=int)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return y, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=noisy_peels())
+def test_estimate_is_bit_identical_to_per_call_peel(case):
+    y, rows = case
+    coeffs, recon = peel_oracle(y, rows)
+    ppe._weights_1d.cache_clear()
+    basis_on_support.cache_clear()
+    for _ in ("cold", "warm"):
+        model = estimate(y, rows)
+        assert np.array_equal(model.coeffs, coeffs)
+        assert np.array_equal(reconstruct(model), recon)
+    evict_table_caches()
+    model = estimate(y, rows)
+    assert np.array_equal(model.coeffs, coeffs)
+    assert np.array_equal(reconstruct(model), recon)
+
+
+def test_cached_tables_are_read_only():
+    with pytest.raises(ValueError):
+        ppe._weights_1d(1, 4)[0] = 1.0
+    with pytest.raises(ValueError):
+        basis_on_support((5, 3), (2, 0))[1, 0] = 1.0
+
+
+def test_mutating_returned_tables_leaves_estimate_unchanged():
+    rng = np.random.default_rng(13)
+    shape = (6, 4)
+    ds = degree_set_for_shape(2, shape)
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = estimate(y, ds)
+    for m in ds:
+        weights(m, shape)[...] = 0.0
+        weights(m[:1], shape[:1])[...] = 0.0
+        basis_on_lattice(shape, m)[...] = 7.0
+    after = estimate(y, ds)
+    assert np.array_equal(after.coeffs, before.coeffs)
+    assert np.array_equal(reconstruct(after), reconstruct(before))
