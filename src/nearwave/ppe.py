@@ -95,20 +95,33 @@ def circular_average(signal: np.ndarray, m) -> complex:
     """
     if len(m) != np.ndim(signal):
         raise ValueError(f"degree {tuple(m)} does not match the signal rank {np.ndim(signal)}")
-    flat = np.asarray(signal).ravel()
-    if flat.size == 0:
+    return complex(*_circular_average(np.asarray(signal), m))
+
+
+def _circular_average(signal: np.ndarray, m):
+    """(real, imag) of ``circular_average`` over the trailing ``len(m)`` axes, per leading index.
+
+    The pilot's modulus, the weighted mean and the pilot-correction product
+    are spelled out so that each batch row gets the bits of a lone signal.
+    """
+    batch = signal.shape[:signal.ndim - len(m)]
+    flat = signal.reshape(batch + (-1,))
+    if flat.shape[-1] == 0:
         raise ValueError("empty signal")
     if np.any(flat == 0):
         raise ValueError("signal contains zeros; projection undefined")
     proj = flat / np.abs(flat)
-    total = proj.sum()
-    if total == 0:
+    total = proj.sum(axis=-1)
+    modulus = np.hypot(total.real, total.imag)
+    if np.any(modulus == 0):
         raise ValueError("projections cancel; pilot direction undefined")
-    pilot = total / abs(total)
-    residual = np.angle(flat * np.conj(total))
-    shape = tuple(s + int(k) for s, k in zip(signal.shape, m))
+    pilot = total / modulus
+    residual = np.angle(flat * np.conj(total)[..., None])
+    shape = tuple(s + int(k) for s, k in zip(signal.shape[len(batch):], m))
     w = weights(m, shape).ravel()
-    return complex(pilot * np.exp(1j * float(w @ residual)))
+    correction = np.exp(1j * np.vecdot(residual, w))
+    return (pilot.real * correction.real - pilot.imag * correction.imag,
+            pilot.real * correction.imag + pilot.imag * correction.real)
 
 
 def _degree_rows(degrees) -> np.ndarray:
@@ -123,26 +136,35 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     ``degrees`` is a DegreeSet or an array of multi-indices; terms are
     processed in descending total degree (lexicographic tie-break). Each
     coefficient is recovered modulo one cycle of the differenced lattice.
+    The lattice is the trailing axes of ``y``, one per multi-index entry;
+    any leading axes index independent observations, each peeled to the
+    same bits as alone, and the model's ``coeffs`` has shape
+    ``batch + (terms,)``.
     """
     y = np.asarray(y, dtype=complex)
     rows = _degree_rows(degrees)
-    if rows.ndim != 2 or rows.shape[1] != y.ndim:
-        raise ValueError("degree multi-indices must match the signal rank")
-    if np.any(rows < 0) or np.any(rows >= np.asarray(y.shape)):
+    if rows.ndim != 2 or rows.shape[1] > y.ndim:
+        raise ValueError("degree multi-indices must not have more axes than the signal")
+    batch, lattice = y.shape[:y.ndim - rows.shape[1]], y.shape[y.ndim - rows.shape[1]:]
+    if np.any(rows < 0) or np.any(rows >= np.asarray(lattice)):
         raise ValueError("every degree must satisfy 0 <= m_d < N_d")
     if not np.all(np.isfinite(y)):
         raise ValueError("signal must be finite")
     order = sorted(range(rows.shape[0]),
                    key=lambda i: (int(rows[i].sum()), tuple(rows[i])), reverse=True)
     work = y.copy()
-    coeffs = np.empty(rows.shape[0])
+    coeffs = np.empty(batch + (rows.shape[0],))
     for i in order:
         m = tuple(int(v) for v in rows[i])
-        differenced = diff_multi(work, m)
-        a = np.angle(circular_average(differenced, m)) / (2.0 * np.pi)
-        coeffs[i] = a
-        work *= np.exp(-2j * np.pi * a * basis_on_support(y.shape, m))
-    return PolyPhaseModel(shape=y.shape, degrees=rows, coeffs=coeffs)
+        # `differenced` stays bound until the next term, like `proj` and `w` in
+        # _circular_average: freed earlier, they let the heap shrink and fault back
+        differenced = diff_multi(work, (0,) * len(batch) + m)
+        real, imag = _circular_average(differenced, m)
+        a = np.arctan2(imag, real) / (2.0 * np.pi)
+        coeffs[..., i] = a
+        a = a.reshape(batch + (1,) * len(m))
+        work *= np.exp(-2j * np.pi * a * basis_on_support(lattice, m))
+    return PolyPhaseModel(shape=lattice, degrees=rows, coeffs=coeffs)
 
 
 def reconstruct(model: PolyPhaseModel) -> np.ndarray:
@@ -165,6 +187,7 @@ def expand_to_lattice(model: PolyPhaseModel, coords, full_shape,
     and re-solved against the full-lattice basis there, which is exact
     whenever the fitted values come from a polynomial in the target span.
     """
+    model._unbatched("expand_to_lattice")
     full_shape = tuple(int(n) for n in full_shape)
     coords = tuple(np.asarray(c, dtype=int) for c in coords)
     if len(coords) != len(full_shape) or len(coords) != len(model.shape):

@@ -219,6 +219,8 @@ class PolyPhaseModel:
     """Polynomial phase model: degrees and real coefficients in cycles.
 
     The modeled tensor is ``exp(j * 2 pi * phase_cycles())`` over ``shape``.
+    ``coeffs`` has shape ``batch + (terms,)``: leading axes, if any, index
+    independent models on the same lattice and degrees.
     """
 
     shape: tuple[int, ...]
@@ -228,8 +230,8 @@ class PolyPhaseModel:
     def __post_init__(self):
         degrees = np.asarray(self.degrees, dtype=int)
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if degrees.shape[0] != coeffs.shape[0]:
-            raise ValueError("degrees and coeffs must have matching length")
+        if coeffs.ndim < 1 or degrees.shape[0] != coeffs.shape[-1]:
+            raise ValueError("coeffs must end in one axis of one entry per degree row")
         if degrees.ndim != 2 or degrees.shape[1] != len(self.shape):
             raise ValueError("degree multi-indices must match the lattice rank")
         if np.any(degrees >= np.asarray(self.shape)):
@@ -238,8 +240,14 @@ class PolyPhaseModel:
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "coeffs", coeffs)
 
+    def _unbatched(self, what: str) -> None:
+        if self.coeffs.ndim != 1:
+            raise ValueError(f"{what} needs a single model; this one has batch shape "
+                             f"{self.coeffs.shape[:-1]}, so index its coeffs first")
+
     def coefficient(self, m) -> float:
         """Coefficient of the term with multi-index ``m`` (0 if absent)."""
+        self._unbatched("coefficient")
         m = tuple(int(v) for v in m)
         for row, a in zip(self.degrees, self.coeffs):
             if tuple(row) == m:
@@ -247,13 +255,15 @@ class PolyPhaseModel:
         return 0.0
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
+        self._unbatched("as_dict")
         return {tuple(row): float(a) for row, a in zip(self.degrees, self.coeffs)}
 
     def phase_cycles(self) -> np.ndarray:
-        """Phase polynomial in cycles over the full lattice, summed in term order."""
-        out = np.zeros(self.shape)
-        for m, a in zip(self.degrees.tolist(), self.coeffs):
-            out += a * basis_on_support(self.shape, tuple(m))
+        """Phase polynomial in cycles, shape ``batch + shape``, summed in term order."""
+        coeffs = self.coeffs.reshape(self.coeffs.shape[:-1] + (1,) * len(self.shape) + (-1,))
+        out = np.zeros(self.coeffs.shape[:-1] + self.shape)
+        for t, m in enumerate(self.degrees.tolist()):
+            out += coeffs[..., t] * basis_on_support(self.shape, tuple(m))
         return out
 
 

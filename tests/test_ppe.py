@@ -443,3 +443,54 @@ def test_mutating_returned_tables_leaves_estimate_unchanged():
     after = estimate(y, ds)
     assert np.array_equal(after.coeffs, before.coeffs)
     assert np.array_equal(reconstruct(after), reconstruct(before))
+
+
+# ---------------------------------------------------------------------------
+# batch axes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def batched_peels(draw):
+    """A ``noisy_peels`` lattice and its degrees, under 0 to 2 leading batch axes of 1 to 3."""
+    y, rows = draw(noisy_peels())
+    batch = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = batch + y.shape
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=batched_peels())
+def test_estimate_batch_equals_loop(case):
+    y, rows = case
+    batch = y.shape[:y.ndim - rows.shape[1]]
+    model = estimate(y, rows)
+    recon = reconstruct(model)
+    assert model.coeffs.shape == batch + (len(rows),)
+    assert recon.shape == y.shape
+    for idx in np.ndindex(batch):
+        alone = estimate(y[idx], rows)
+        assert np.array_equal(model.coeffs[idx], alone.coeffs)
+        assert np.array_equal(recon[idx], reconstruct(alone))
+
+
+def test_estimate_checks_apply_to_the_lattice_axes():
+    rows = np.array([[2, 1], [0, 0]])
+    y = np.ones((5, 3, 2), dtype=complex)
+    assert estimate(y, rows).coeffs.shape == (5, 2)
+    with pytest.raises(ValueError):
+        estimate(y, np.array([[0, 2]]))  # degree reaches the extent of a lattice axis
+    with pytest.raises(ValueError):
+        estimate(y, np.zeros((1, 4), dtype=int))  # more lattice axes than the signal
+    for bad in (np.nan, 0.0):  # one bad observation fails the whole batch
+        z = y.copy()
+        z[4, 2, 1] = bad
+        with pytest.raises(ValueError):
+            estimate(z, rows)
+
+
+def test_expand_to_lattice_rejects_batched_model():
+    model = estimate(np.ones((2, 3), dtype=complex), np.array([[1], [0]]))
+    with pytest.raises(ValueError, match=r"batch shape \(2,\)"):
+        expand_to_lattice(model, (np.array([0, 2, 4]),), (5,))

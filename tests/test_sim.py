@@ -3,7 +3,9 @@ import pytest
 
 from nearwave.geometry import ArraySpec, sample_pose, synth
 from nearwave.mle import MleConfig
-from nearwave.ppe import reconstruct
+from nearwave import sim
+from nearwave.ppe import estimate, reconstruct
+from nearwave.presets import SPEC_PRESETS
 from nearwave.sim import (
     ExperimentConfig,
     add_noise,
@@ -14,7 +16,12 @@ from nearwave.sim import (
     run_mse_sweep,
     run_trajectory_experiment,
 )
-from nearwave.wavefront import PolyPhaseModel, approx_channel, degree_set_for_shape
+from nearwave.wavefront import (
+    PolyPhaseModel,
+    approx_channel,
+    build_degree_set,
+    degree_set_for_shape,
+)
 
 
 def test_add_noise_vanishes_at_huge_snr():
@@ -76,6 +83,39 @@ def test_run_mse_sweep_deterministic():
     header, rows = a.mse_csv_rows()
     assert header == ["snr_db", "mse_db_1", "mse_db_2"]
     assert len(rows) == 2
+
+
+def sweep_by_loop(cfg):
+    """(mse_db, ls_db) of the sweep, estimating one (trial, SNR) observation per call."""
+    degree_sets = [build_degree_set(L, cfg.spec) for L in cfg.degree_list]
+    mse = np.empty((cfg.trials, len(cfg.snr_grid), len(degree_sets)))
+    ls = np.empty((cfg.trials, len(cfg.snr_grid)))
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng((cfg.seed, trial))
+        pose = sample_pose(rng, *cfg.shell, measure=cfg.shell_measure)
+        h = synth(cfg.spec, pose, unit_amplitude=cfg.amplitude_mode == "unit")
+        for i, snr in enumerate(cfg.snr_grid):
+            y = add_noise(h, snr, rng)
+            ls[trial, i] = np.mean(np.abs(y - h) ** 2)
+            for j, ds in enumerate(degree_sets):
+                mse[trial, i, j] = np.mean(np.abs(reconstruct(estimate(y, ds)) - h) ** 2)
+    return 10.0 * np.log10(np.mean(mse, axis=0)), 10.0 * np.log10(np.mean(ls, axis=0))
+
+
+def test_run_mse_sweep_blocks_change_no_bit(monkeypatch):
+    spec = SPEC_PRESETS["ula8-single"]
+    cfg = ExperimentConfig(spec=spec, snr_grid=(0.0, 10.0, 20.0), degree_list=(1, 2),
+                           trials=7, amplitude_mode="exact", seed=5)
+    default = run_mse_sweep(cfg)
+    mse_db, ls_db = sweep_by_loop(cfg)
+    assert np.array_equal(default.mse_db, mse_db)
+    assert np.array_equal(default.ls_db, ls_db)
+    # one observation per block, blocks that straddle trials, one block for all
+    for entries in (1, 5 * spec.size, 21 * spec.size + 1):
+        monkeypatch.setattr(sim, "BLOCK_ENTRIES", entries)
+        report = run_mse_sweep(cfg)
+        for name in ("mse_db", "ls_db", "crb_db"):
+            assert np.array_equal(getattr(report, name), getattr(default, name))
 
 
 def test_run_mse_sweep_crb_column():

@@ -5,6 +5,7 @@ import pytest
 
 from nearwave.geometry import ArraySpec, GeometryPose, frequency_factors, sample_pose, synth
 from nearwave.wavefront import (
+    PolyPhaseModel,
     approx_channel,
     basis_at,
     basis_on_lattice,
@@ -180,6 +181,36 @@ def test_basis_pascal_structure():
     grid = basis_at((np.array([0, 2, 5]), np.array([1, 3])), (1, 2))
     expected = np.outer([0, 2, 5], [0, 3])
     assert np.allclose(grid, expected)
+
+
+def batched_model():
+    """Three models of the terms 2, 1 and 0 on a 5-sample line, stacked on a batch axis."""
+    return PolyPhaseModel(shape=(5,), degrees=np.array([[2], [1], [0]]),
+                          coeffs=np.arange(9.0).reshape(3, 3) / 20.0)
+
+
+def test_poly_phase_model_checks_the_term_axis():
+    degrees = np.array([[1], [0]])
+    with pytest.raises(ValueError, match="one entry per degree row"):
+        PolyPhaseModel(shape=(4,), degrees=degrees, coeffs=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="one entry per degree row"):
+        PolyPhaseModel(shape=(4,), degrees=degrees, coeffs=np.float64(0.5))
+    model = batched_model()
+    phase = model.phase_cycles()
+    assert phase.shape == (3, 5)
+    for k in range(3):
+        alone = PolyPhaseModel(shape=(5,), degrees=model.degrees, coeffs=model.coeffs[k])
+        assert np.array_equal(phase[k], alone.phase_cycles())
+
+
+def test_coefficient_rejects_batched_model():
+    with pytest.raises(ValueError, match=r"coefficient needs a single model.*\(3,\)"):
+        batched_model().coefficient((1,))
+
+
+def test_as_dict_rejects_batched_model():
+    with pytest.raises(ValueError, match=r"as_dict needs a single model.*\(3,\)"):
+        batched_model().as_dict()
 
 
 # ---------------------------------------------------------------------------
