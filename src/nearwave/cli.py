@@ -93,6 +93,13 @@ _SYNTH_DEFAULTS = {"amplitude": "exact", "pose": "fixed", "pose_r": (0.0, 0.0, 1
                    "pose_euler": (0.0, 0.0, 0.0), "shell_min": 5.0, "shell_max": 15.0}
 
 
+def _median(values) -> float:
+    """Median of a non-empty sequence, as np.median gives it, without importing numpy.ma."""
+    s = np.sort(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def _cmd_synth(args) -> tuple[str, dict]:
     spec = _lookup(presets.SPEC_PRESETS, args.preset, "spec")
     cfg = _config(args, _SYNTH_DEFAULTS)
@@ -173,7 +180,7 @@ def _cmd_mle(args) -> tuple[str, dict]:
     result = sim.run_trajectory_experiment(spec, config, snr_db=snr_db, seed=args.seed)
     result.to_csv(path)
     norms = [tr.final_grad_norm for tr in result.starts if not tr.diverged]
-    median_norm = np.median(norms) if norms else float("nan")
+    median_norm = _median(norms) if norms else float("nan")
     return path, dict(seed=args.seed, snr_db=snr_db, num_starts=config.num_starts,
                       iterations=config.iterations, cost_variant=config.cost_variant,
                       converged_fraction=f"{result.converged_fraction():.4f}",

@@ -343,12 +343,28 @@ def pair_offsets(spec: ArraySpec, r: np.ndarray, R: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     R = np.asarray(R, dtype=float)
     rx = r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, rx_local_grid(spec))
-    return rx[:, :, :, None, None, :] - tx_positions(spec)[None, None, None, :, :, :]
+    tx = tx_positions(spec)
+    out = np.empty(rx.shape[:3] + tx.shape)
+    # one subtraction per component: broadcasting over the 3-long last axis
+    # runs numpy's inner loop three entries at a time, which is slow
+    for i in range(3):
+        np.subtract(rx[:, :, :, None, None, i], tx[..., i], out=out[..., i])
+    return out
+
+
+def pair_distances(offsets: np.ndarray) -> np.ndarray:
+    """Euclidean length of each offset along the last axis, shape (..., 3) -> (...).
+
+    Summed in the order np.linalg.norm(offsets, axis=-1) uses, so the bits
+    match it, without its reduction over a 3-long axis.
+    """
+    x, y, z = offsets[..., 0], offsets[..., 1], offsets[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def distance_tensor(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
     """Pairwise antenna distances, shape (nrx, nry, ntx, nty)."""
-    return np.linalg.norm(pair_offsets(spec, pose.r[None], pose.R[None])[0], axis=-1)
+    return pair_distances(pair_offsets(spec, pose.r[None], pose.R[None])[0])
 
 
 def pairwise_distance(spec: ArraySpec, pose: GeometryPose, n_t, n_r) -> float:
@@ -379,7 +395,7 @@ def synth_batch(spec: ArraySpec, r: np.ndarray, R: np.ndarray,
     validated.
     """
     r = np.asarray(r, dtype=float)
-    dist = np.linalg.norm(pair_offsets(spec, r, R), axis=-1)
+    dist = pair_distances(pair_offsets(spec, r, R))
     return synth_from_distances(spec, r, dist, unit_amplitude)
 
 

@@ -20,6 +20,7 @@ from .geometry import (
     ArraySpec,
     GeometryPose,
     frequency_factors,
+    pair_distances,
     pair_offsets,
     rotation_from_tangent_batch,
     rotation_jacobian_batch,
@@ -36,8 +37,9 @@ COST_VARIANTS = ("plain", "complex_beta", "unit_beta")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# channel entries per block of the cost-and-gradient pass: 32 starts of the
-# 32x32 link, which bounds its temporaries to a few MB for any start count
+# channel entries per block of the cost-and-gradient pass and of the final
+# cost pass: 32 starts of the 32x32 link, which bounds the temporaries of
+# both to a few MB for any start count
 GRAD_BLOCK_ENTRIES = 32768
 
 _DB_FLOOR = 1e-30  # linear cost floor so dB trajectories stay finite
@@ -146,20 +148,32 @@ def beta_hat(y, spec: ArraySpec, pose: GeometryPose, variant: str = "complex_bet
     return complex(beta)
 
 
+def _blocks(spec: ArraySpec, count: int):
+    """Slices of ``count`` starts in blocks of about GRAD_BLOCK_ENTRIES channel entries."""
+    step = max(1, GRAD_BLOCK_ENTRIES // spec.size)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
 def batched_cost(y, spec: ArraySpec, params, base_rotations, variant: str) -> np.ndarray:
     """Cost of each start, shape (S,), at ``params`` (S, 6) = (r, omega).
 
-    Start s has the pose (r, base_rotations[s] @ expm(skew(omega))).
+    Start s has the pose (r, base_rotations[s] @ expm(skew(omega))). Starts
+    are evaluated in the blocks of ``cost_and_grad``, which bound the
+    temporaries for any start count; each start's cost does not depend on
+    the block it lands in.
     """
-    r = params[:, :3]
-    R = base_rotations @ rotation_from_tangent_batch(params[:, 3:])
-    return _fit(np.asarray(y), synth_batch(spec, r, R), variant)[1]
+    y = np.asarray(y)
+    cost = np.empty(len(params))
+    for part in _blocks(spec, len(params)):
+        R = base_rotations[part] @ rotation_from_tangent_batch(params[part, 3:])
+        cost[part] = _fit(y, synth_batch(spec, params[part, :3], R), variant)[1]
+    return cost
 
 
 def _cost_and_grad_block(y, spec, params, base_rotations, variant):
     r, omega = params[:, :3], params[:, 3:]
     offsets = pair_offsets(spec, r, base_rotations @ rotation_from_tangent_batch(omega))
-    dist = np.linalg.norm(offsets, axis=-1)
+    dist = pair_distances(offsets)
     h = synth_from_distances(spec, r, dist)
     beta, cost = _fit(y, h, variant)
     beta = beta.reshape((-1,) + (1,) * (h.ndim - 1))
@@ -192,9 +206,7 @@ def cost_and_grad(y, spec: ArraySpec, params, base_rotations, variant: str):
     y = np.asarray(y, dtype=complex)
     cost = np.empty(len(params))
     grad = np.empty_like(params)
-    block = max(1, GRAD_BLOCK_ENTRIES // spec.size)
-    for lo in range(0, len(params), block):
-        part = slice(lo, lo + block)
+    for part in _blocks(spec, len(params)):
         cost[part], grad[part] = _cost_and_grad_block(
             y, spec, params[part], base_rotations[part], variant)
     return cost, grad

@@ -2,12 +2,12 @@
 pilot subsampling, and the trajectory experiment.
 
 Determinism contract: every trial draws from its own generator seeded with
-(seed, trial index), first its pose and then one noise draw per SNR in grid
-order, and reductions are plain array sums over the stacked per-trial
-results, so identical configurations reproduce identical reports. The MSE
-sweep estimates consecutive (trial, SNR) observations together in blocks of
-about BLOCK_ENTRIES channel entries; the block size changes no draw and no
-bit of any result.
+(seed, trial index), first its pose and then the noise of each SNR in grid
+order, real parts before imaginary ones, and reductions are plain array sums
+over the stacked per-trial results, so identical configurations reproduce
+identical reports. The MSE sweep draws the noise and estimates consecutive
+(trial, SNR) observations together in blocks of about BLOCK_ENTRIES channel
+entries; the block size changes no draw and no bit of any result.
 """
 
 from __future__ import annotations
@@ -31,17 +31,36 @@ SCHEMA_VERSION = 1
 BLOCK_ENTRIES = 4096
 
 
+def _noise_sigma(snr_db: float) -> float:
+    """Standard deviation of each of the real and imaginary noise parts at ``snr_db``."""
+    if not np.isfinite(snr_db):
+        raise ValueError("snr_db must be finite")
+    return np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
+
+
+def _noisy(h: np.ndarray, sigmas, rng: np.random.Generator) -> np.ndarray:
+    """Observations h + w of ``h``, one per noise level in ``sigmas``, from one draw.
+
+    The draw holds the real and then the imaginary parts of each level's
+    noise in turn, so splitting the levels over several calls changes no bit.
+    Each part is added in place, which gives the bits of h + (a + 1j * b)
+    without its three complex temporaries.
+    """
+    z = rng.normal(size=(len(sigmas), 2) + h.shape)
+    z *= np.reshape(sigmas, (-1, 1) + (1,) * h.ndim)
+    y = np.empty((len(sigmas),) + h.shape, dtype=complex)
+    np.add(h.real, z[:, 0], out=y.real)
+    np.add(h.imag, z[:, 1], out=y.imag)
+    return y
+
+
 def add_noise(h: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Observation h + w with w i.i.d. circularly-symmetric complex Gaussian.
 
     The noise variance is 1 / SNR in linear scale, split evenly between the
     real and imaginary parts.
     """
-    if not np.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
-    sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-    noise = rng.normal(scale=sigma, size=h.shape) + 1j * rng.normal(scale=sigma, size=h.shape)
-    return h + noise
+    return _noisy(h, [_noise_sigma(snr_db)], rng)[0]
 
 
 def per_entry_mse(h_hat: np.ndarray, h: np.ndarray) -> float:
@@ -124,12 +143,17 @@ class ExperimentReport:
 def _observations(config: ExperimentConfig):
     """(truth, observation) of every (trial, SNR) pair, trial-major, in draw order."""
     unit = config.amplitude_mode == "unit"
+    sigmas = [_noise_sigma(snr) for snr in config.snr_grid]
+    # the noise of at most one estimation block is drawn at once: every SNR of
+    # a small tensor, one SNR of a large one, whose draw would cost memory
+    per_draw = max(1, BLOCK_ENTRIES // config.spec.size)
     for trial in range(config.trials):
         rng = np.random.default_rng((config.seed, trial))
         pose = sample_pose(rng, *config.shell, measure=config.shell_measure)
         h = synth(config.spec, pose, unit_amplitude=unit)
-        for snr in config.snr_grid:
-            yield h, add_noise(h, snr, rng)
+        for lo in range(0, len(sigmas), per_draw):
+            for y in _noisy(h, sigmas[lo:lo + per_draw], rng):
+                yield h, y
 
 
 def run_mse_sweep(config: ExperimentConfig) -> ExperimentReport:

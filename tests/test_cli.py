@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nearwave
 from nearwave import chanfile
-from nearwave.cli import main, parse_config
+from nearwave.cli import _median, main, parse_config
 
 
 def test_synth_writes_preset_shape(tmp_path):
@@ -100,6 +106,28 @@ def test_mle_trajectories(tmp_path):
     meta = chanfile.read_metadata(tmp_path / "trajectories.csv.meta")
     assert meta["diverged_starts"] == "0"
     assert float(meta["median_final_grad_norm"]) >= 0.0
+
+
+def test_mle_never_imports_numpy_ma(tmp_path):
+    # a fresh interpreter, in which np.median would import numpy.ma on first use
+    config = tmp_path / "mle.cfg"
+    config.write_text("iterations = 1\n")
+    code = ("import sys\n"
+            "from nearwave.cli import main\n"
+            f"assert main(['mle', '--preset', 'fig3f', '--starts', '4', '--config', "
+            f"{str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    src = str(Path(nearwave.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 10, 129])
+def test_median_equals_numpy(length):
+    values = list(np.random.default_rng(length).lognormal(size=length))
+    assert _median(values) == np.median(values)
 
 
 # a rate that is not a finite positive number, and one so large that every

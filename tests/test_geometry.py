@@ -12,6 +12,8 @@ from nearwave.geometry import (
     distance_tensor,
     frequency_factors,
     geometric_parameter_count,
+    pair_distances,
+    pair_offsets,
     pairwise_distance,
     random_rotation,
     rotation_from_euler,
@@ -19,6 +21,7 @@ from nearwave.geometry import (
     rotation_from_tangent_batch,
     rotation_jacobian_batch,
     rotation_log,
+    rx_local_grid,
     sample_pose,
     skew,
     synth,
@@ -332,6 +335,36 @@ def test_synth_batch_equals_loop_bit_for_bit(preset, seeds, unit):
                         np.stack([p.R for p in poses]), unit)
     for h, pose in zip(batch, poses):
         assert np.array_equal(h, synth(spec, pose, unit))
+
+
+# 1 to 8 antennas per axis, spacings and translations scaled together from
+# 1e-3 to 1e3 so the offsets span that range too
+@settings(max_examples=120, deadline=None)
+@given(counts=st.tuples(*[st.integers(1, 8)] * 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e), num_poses=st.integers(1, 3))
+def test_pair_distance_kernel_bit_for_bit(counts, seed, scale, num_poses):
+    nrx, nry, ntx, nty = counts
+    rng = np.random.default_rng(seed)
+    dtx, dty, drx, dry = scale * rng.uniform(1e-3, 1e-1, size=4)
+    spec = ArraySpec(ntx=ntx, nty=nty, nrx=nrx, nry=nry, dtx=dtx, dty=dty, drx=drx, dry=dry)
+    r = scale * rng.normal(size=(num_poses, 3))
+    R = np.stack([random_rotation(rng) for _ in range(num_poses)])
+    offsets = pair_offsets(spec, r, R)
+    # oracle: the plain broadcast over the component axis
+    rx = r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, rx_local_grid(spec))
+    assert np.array_equal(offsets, rx[:, :, :, None, None, :]
+                          - tx_positions(spec)[None, None, None, :, :, :])
+    assert np.array_equal(pair_distances(offsets), np.linalg.norm(offsets, axis=-1))
+
+
+def test_pair_distances_of_coincident_antennas():
+    # two identical lines laid on each other: the diagonal pairs coincide
+    spec = ArraySpec.half_wavelength(ntx=5, nrx=5)
+    offsets = pair_offsets(spec, np.zeros((1, 3)), np.eye(3)[None])
+    dist = pair_distances(offsets)
+    assert np.array_equal(dist, np.linalg.norm(offsets, axis=-1))
+    assert np.all(dist[0, np.arange(5), 0, np.arange(5), 0] == 0.0)
+    assert np.all(np.delete(dist.ravel(), np.arange(5) * 6) > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from nearwave.mle import (
     optimize,
     write_trajectory_csv,
 )
+from nearwave.presets import SPEC_PRESETS
 from nearwave.sim import add_noise
 
 SPEC = ArraySpec.half_wavelength(ntx=8, nrx=2)
@@ -142,6 +145,45 @@ def test_gradient_matches_finite_differences(seed, spec, variant, omega_norm):
     # for the 1.5e-5 m step at 15 m, and the rounding of the ~3e3 rad phases,
     # about 1e-7 absolute over that step
     assert np.linalg.norm(grad - fd) <= 1e-4 * np.linalg.norm(fd) + 1e-6
+
+
+def random_starts(count, rng):
+    """(params, base_rotations) of ``count`` random starts, zero tangent."""
+    poses = [sample_pose(rng) for _ in range(count)]
+    params = np.zeros((count, 6))
+    params[:, :3] = [p.r for p in poses]
+    return params, np.stack([p.R for p in poses])
+
+
+@pytest.mark.parametrize("variant", COST_VARIANTS)
+def test_batched_cost_blocks_change_no_bit(monkeypatch, variant):
+    rng = np.random.default_rng(21)
+    y = add_noise(synth(SPEC, TRUTH), 10.0, rng)
+    params, base = random_starts(7, rng)
+    params[:, 3:] = rng.normal(scale=0.1, size=(7, 3))
+    default = batched_cost(y, SPEC, params, base, variant)
+    # one start per block, and one block for every start
+    for entries in (1, 7 * SPEC.size + 1):
+        monkeypatch.setattr(mle, "GRAD_BLOCK_ENTRIES", entries)
+        assert np.array_equal(batched_cost(y, SPEC, params, base, variant), default)
+
+
+def test_batched_cost_memory_does_not_grow_with_starts():
+    spec = SPEC_PRESETS["ula32-ula32"]
+    y = synth(spec, TRUTH)
+
+    def traced_peak(count):
+        params, base = random_starts(count, np.random.default_rng(count))
+        tracemalloc.start()
+        try:
+            batched_cost(y, spec, params, base, "complex_beta")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 384 more starts may grow the (S,) result, but by less than one complex
+    # channel tensor, where an unblocked pass grows by 384 of them
+    assert traced_peak(512) - traced_peak(128) < 16 * spec.size
 
 
 # ---------------------------------------------------------------------------

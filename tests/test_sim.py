@@ -31,6 +31,17 @@ def test_add_noise_vanishes_at_huge_snr():
     assert np.max(np.abs(y - h)) < 1e-12
 
 
+def test_add_noise_draws_real_then_imaginary_parts():
+    # the draw order of the (seed, trial) contract, written out with two draws
+    h = synth(ArraySpec.half_wavelength(ntx=8, nrx=2, nf=3, df=5e-4),
+              sample_pose(np.random.default_rng(2)))
+    for snr in (0.0, 7.5, 20.0):
+        rng = np.random.default_rng(3)
+        sigma = np.sqrt(0.5 * 10.0 ** (-snr / 10.0))
+        noise = rng.normal(scale=sigma, size=h.shape) + 1j * rng.normal(scale=sigma, size=h.shape)
+        assert np.array_equal(add_noise(h, snr, np.random.default_rng(3)), h + noise)
+
+
 def test_add_noise_variance_calibration():
     rng = np.random.default_rng(1)
     h = np.zeros((100, 100, 100, 1, 1), dtype=complex)  # one million samples
