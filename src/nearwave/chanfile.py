@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 HEADER_DTYPE = np.dtype("<i8")
-VALUE_DTYPE = np.dtype("<f8")
+ENTRY_DTYPE = np.dtype("<c16")  # a (real, imaginary) pair of little-endian float64
 
 
 def sidecar_path(path) -> str:
@@ -28,13 +28,9 @@ def write_channel(path, values: np.ndarray, metadata: dict | None = None) -> Non
     if values.ndim != 5:
         raise ValueError("expected a 5-axis channel tensor")
     header = np.asarray(values.shape, dtype=HEADER_DTYPE)
-    interleaved = np.empty(values.size * 2, dtype=VALUE_DTYPE)
-    flat = values.ravel()
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
-        fh.write(interleaved.tobytes())
+        fh.write(values.astype(ENTRY_DTYPE).tobytes())
     if metadata is not None:
         write_metadata(sidecar_path(path), metadata)
 
@@ -48,14 +44,14 @@ def read_channel(path) -> np.ndarray:
         if header.size != 5 or np.any(header < 1):
             raise ValueError("corrupt channel file header")
         shape = tuple(int(n) for n in header)
-        expected = 2 * math.prod(shape) * VALUE_DTYPE.itemsize
+        expected = math.prod(shape) * ENTRY_DTYPE.itemsize
         payload = os.fstat(fh.fileno()).st_size - len(head)
         if payload != expected:
             problem = "truncated" if payload < expected else "has trailing bytes"
             raise ValueError(f"channel file {problem}: header extents {shape} need "
                              f"{expected} payload bytes, file has {payload}")
-        raw = np.frombuffer(fh.read(expected), dtype=VALUE_DTYPE)
-    return (raw[0::2] + 1j * raw[1::2]).reshape(shape)
+        raw = np.frombuffer(fh.read(expected), dtype=ENTRY_DTYPE)
+    return raw.astype(complex).reshape(shape)
 
 
 def write_metadata(path, metadata: dict) -> None:
@@ -65,7 +61,7 @@ def write_metadata(path, metadata: dict) -> None:
 
 
 def read_metadata(path) -> dict[str, str]:
-    """Parse flat "key = value" lines, skipping blanks and # comments; no "=" raises."""
+    """Parse "key = value" lines, skipping blanks and # comments; no "=" or a repeated key raises."""
     out: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -75,7 +71,10 @@ def read_metadata(path) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key '{key}'")
+            out[key] = value.strip()
     return out
 
 

@@ -282,11 +282,9 @@ def sample_pose(rng: np.random.Generator, rmin: float = 5.0, rmax: float = 15.0,
         radius = rng.uniform(rmin, rmax)
     else:
         raise ValueError(f"unknown shell measure: {measure!r}")
-    direction = rng.normal(size=3)
-    norm = np.linalg.norm(direction)
-    while norm < 1e-12:
+    direction = np.zeros(3)
+    while (norm := np.linalg.norm(direction)) < 1e-12:
         direction = rng.normal(size=3)
-        norm = np.linalg.norm(direction)
     return GeometryPose(r=radius * direction / norm, R=random_rotation(rng))
 
 

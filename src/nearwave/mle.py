@@ -275,8 +275,7 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
     if not usable:
         raise DivergedError("every start diverged: a non-finite cost or gradient; "
                             "a smaller learning_rate may help")
-    best = min(usable, key=lambda tr: tr.final_cost)
-    return best.final_pose, trajectories
+    return by_final_cost(usable)[0].final_pose, trajectories
 
 
 def landscape_scan(d_true: float = 5.0, d_range: tuple[float, float] = (4.6, 5.4),
@@ -307,13 +306,18 @@ def landscape_scan(d_true: float = 5.0, d_range: tuple[float, float] = (4.6, 5.4
     return grid, point, plane
 
 
+def by_final_cost(trajectories) -> list[Trajectory]:
+    """``trajectories`` sorted by final cost, lowest first, NaN (diverged) last."""
+    return sorted(trajectories, key=lambda tr: (np.isnan(tr.final_cost), tr.final_cost))
+
+
 def write_trajectory_csv(path, trajectories, proxy: Trajectory) -> None:
     """Write best-sorted trajectories plus the genie proxy column.
 
     Columns: Iteration, Best_1_Cost_dB ... Best_S_Cost_dB, Proxy_Cost_dB,
     with Best_k the k-th lowest final cost among the given starts.
     """
-    ranked = sorted(trajectories, key=lambda tr: (np.isnan(tr.final_cost), tr.final_cost))
+    ranked = by_final_cost(trajectories)
     header = ["Iteration"]
     header += [f"Best_{k}_Cost_dB" for k in range(1, len(ranked) + 1)]
     header += ["Proxy_Cost_dB"]

@@ -23,6 +23,7 @@ from .wavefront import (
     basis_on_support,
     binomial,
     fit_on_grid,
+    term_order,
 )
 
 __all__ = [
@@ -150,8 +151,7 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
         raise ValueError("every degree must satisfy 0 <= m_d < N_d")
     if not np.all(np.isfinite(y)):
         raise ValueError("signal must be finite")
-    order = sorted(range(rows.shape[0]),
-                   key=lambda i: (int(rows[i].sum()), tuple(rows[i])), reverse=True)
+    order = sorted(range(rows.shape[0]), key=lambda i: term_order(rows[i]), reverse=True)
     work = y.copy()
     coeffs = np.empty(batch + (rows.shape[0],))
     for i in order:

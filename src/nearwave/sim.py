@@ -5,29 +5,28 @@ Determinism contract: every trial draws from its own generator seeded with
 (seed, trial index), first its pose and then the noise of each SNR in grid
 order, real parts before imaginary ones, and reductions are plain array sums
 over the stacked per-trial results, so identical configurations reproduce
-identical reports. The MSE sweep draws the noise and estimates consecutive
-(trial, SNR) observations together in blocks of about BLOCK_ENTRIES channel
-entries; the block size changes no draw and no bit of any result.
+identical reports. The MSE sweep synthesises, draws and estimates in blocks
+of about BLOCK_ENTRIES channel entries: whole trials, or a run of one trial's
+SNRs; the block size changes no draw and no bit of any result.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
-from itertools import islice
 
 import numpy as np
 
 from . import mle, ppe
 from .chanfile import write_csv
-from .geometry import ArraySpec, GeometryPose, sample_pose, synth
+from .geometry import ArraySpec, GeometryPose, sample_pose, synth, synth_batch
 from .wavefront import build_degree_set, degree_set_for_shape, product_degree_set
 
 TX_AXES = (2, 3)
 FREQ_AXIS = 4
 SCHEMA_VERSION = 1
-# channel entries per block of the MSE sweep: 128 observations of a 32-antenna
-# line, and one observation of any tensor of 4096 entries or more
+# channel entries per block of the MSE sweep: 6 trials of 21 SNRs on a
+# 32-antenna line, and one observation of any tensor of 4096 entries or more
 BLOCK_ENTRIES = 4096
 
 
@@ -69,13 +68,13 @@ def per_entry_mse(h_hat: np.ndarray, h: np.ndarray) -> float:
     h = np.asarray(h)
     if h_hat.shape != h.shape:
         raise ValueError(f"shape mismatch: {h_hat.shape} vs {h.shape}")
-    return float(_row_mse(h_hat[None], h[None])[0])
+    return float(_row_mse(h_hat, h, h.ndim))
 
 
-def _row_mse(h_hat: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``per_entry_mse`` of each pair of rows along the leading axis."""
+def _row_mse(h_hat: np.ndarray, h: np.ndarray, ndim: int) -> np.ndarray:
+    """``per_entry_mse`` over the trailing ``ndim`` axes, the leading ones broadcast."""
     err = np.abs(h_hat - h) ** 2
-    return err.reshape(len(err), -1).mean(axis=1)
+    return err.reshape(err.shape[:err.ndim - ndim] + (-1,)).mean(axis=-1)
 
 
 def crb_asymptote(num_params: int, num_entries: int, snr_db: float) -> float:
@@ -140,55 +139,46 @@ class ExperimentReport:
                               np.column_stack([self.crb_db, self.ls_db]))
 
 
-def _observations(config: ExperimentConfig):
-    """(truth, observation) of every (trial, SNR) pair, trial-major, in draw order."""
-    unit = config.amplitude_mode == "unit"
-    sigmas = [_noise_sigma(snr) for snr in config.snr_grid]
-    # the noise of at most one estimation block is drawn at once: every SNR of
-    # a small tensor, one SNR of a large one, whose draw would cost memory
-    per_draw = max(1, BLOCK_ENTRIES // config.spec.size)
-    for trial in range(config.trials):
-        rng = np.random.default_rng((config.seed, trial))
-        pose = sample_pose(rng, *config.shell, measure=config.shell_measure)
-        h = synth(config.spec, pose, unit_amplitude=unit)
-        for lo in range(0, len(sigmas), per_draw):
-            for y in _noisy(h, sigmas[lo:lo + per_draw], rng):
-                yield h, y
-
-
 def run_mse_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Estimate, reconstruct, and score over the SNR grid and degree list.
 
     Per trial: draw a pose from the shell, synthesize the channel in the
     configured amplitude mode, then per SNR add noise once; every degree
-    is estimated on that same observation. The (trial, SNR) observations,
-    SNR fastest, are estimated and scored in blocks of
-    ``max(1, BLOCK_ENTRIES // spec.size)``, one ``ppe.estimate`` per degree
-    set per block; the block size changes no draw and no bit of any result.
-    The CRB column uses the degree-set cardinality as the parameter count.
+    is estimated on that same observation. With ``per_block`` observations
+    of about BLOCK_ENTRIES channel entries (at least one), a block is either
+    ``per_block // n_snr`` whole trials, or, when one trial is larger, a run
+    of ``per_block`` SNRs of one trial. Each block takes one ``synth_batch``
+    of its trials and one ``ppe.estimate`` per degree set; the block size
+    changes no draw and no bit of any result. The CRB column uses the
+    degree-set cardinality as the parameter count.
     """
     spec = config.spec
     degree_sets = [build_degree_set(L, spec) for L in config.degree_list]
     n_snr = len(config.snr_grid)
     n_deg = len(config.degree_list)
-    n_obs = config.trials * n_snr
-    block = max(1, BLOCK_ENTRIES // spec.size)
+    unit = config.amplitude_mode == "unit"
+    sigmas = [_noise_sigma(snr) for snr in config.snr_grid]
+    per_block = max(1, BLOCK_ENTRIES // spec.size)
+    step, run = max(1, per_block // n_snr), min(n_snr, per_block)
 
-    observations = _observations(config)
-    mse = np.empty((n_obs, n_deg))
-    ls = np.empty(n_obs)
-    for lo in range(0, n_obs, block):
-        n = min(block, n_obs - lo)
-        # a lone observation is viewed, not copied: on upa-desk copying it
-        # measured slower (more page faults) and 0.6 MB larger in peak RSS
-        truth, y = (np.stack(rows) if n > 1 else rows[0][None]
-                    for rows in zip(*islice(observations, n)))
-        ls[lo:lo + n] = _row_mse(y, truth)
-        for j, ds in enumerate(degree_sets):
-            model = ppe.estimate(y, ds)
-            mse[lo:lo + n, j] = _row_mse(ppe.reconstruct(model), truth)
-    mse = mse.reshape(config.trials, n_snr, n_deg)
-    ls = ls.reshape(config.trials, n_snr)
+    mse = np.empty((config.trials, n_snr, n_deg))
+    ls = np.empty((config.trials, n_snr))
+    for lo in range(0, config.trials, step):
+        rngs = [np.random.default_rng((config.seed, t))
+                for t in range(lo, min(lo + step, config.trials))]
+        poses = [sample_pose(rng, *config.shell, measure=config.shell_measure) for rng in rngs]
+        truth = synth_batch(spec, np.array([p.r for p in poses]),
+                            np.array([p.R for p in poses]), unit)[:, None]
+        for s in range(0, n_snr, run):
+            y = [_noisy(h, sigmas[s:s + run], rng) for h, rng in zip(truth[:, 0], rngs)]
+            # a lone trial's observations are viewed, not copied: on upa-desk copying
+            # them measured slower (more page faults) and 0.6 MB larger in peak RSS
+            y = np.stack(y) if len(y) > 1 else y[0][None]
+            cell = (slice(lo, lo + len(rngs)), slice(s, s + run))
+            ls[cell] = _row_mse(y, truth, len(spec.shape))
+            for j, ds in enumerate(degree_sets):
+                model = ppe.estimate(y, ds)
+                mse[cell + (j,)] = _row_mse(ppe.reconstruct(model), truth, len(spec.shape))
 
     mse_db = 10.0 * np.log10(np.mean(mse, axis=0))
     ls_db = 10.0 * np.log10(np.mean(ls, axis=0))
@@ -277,8 +267,7 @@ class TrajectoryExperiment:
 
     @property
     def ranked(self) -> list[mle.Trajectory]:
-        return sorted(self.starts,
-                      key=lambda tr: (np.isnan(tr.final_cost), tr.final_cost))
+        return mle.by_final_cost(self.starts)
 
     def converged_fraction(self) -> float:
         """Fraction of starts whose final cost is within 1 dB of the proxy."""

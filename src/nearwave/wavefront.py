@@ -142,9 +142,14 @@ def _checked_shape(max_degree: int, shape) -> tuple[int, ...]:
     return shape
 
 
+def term_order(m) -> tuple:
+    """Key of the canonical term order, sorted descending: total degree, then lex."""
+    return (sum(m), tuple(m))
+
+
 def _degree_set(max_degree: int, shape: tuple[int, ...], degrees) -> DegreeSet:
-    """DegreeSet of ``degrees`` in canonical order (descending total degree, then lex)."""
-    ordered = np.array(sorted(degrees, key=lambda m: (sum(m), m), reverse=True), dtype=int)
+    """DegreeSet of ``degrees`` in canonical order, see ``term_order``."""
+    ordered = np.array(sorted(degrees, key=term_order, reverse=True), dtype=int)
     return DegreeSet(max_degree=max_degree, shape=shape, degrees=ordered,
                      spatial_cardinality=len({m[:-1] for m in degrees}))
 
@@ -248,11 +253,7 @@ class PolyPhaseModel:
     def coefficient(self, m) -> float:
         """Coefficient of the term with multi-index ``m`` (0 if absent)."""
         self._unbatched("coefficient")
-        m = tuple(int(v) for v in m)
-        for row, a in zip(self.degrees, self.coeffs):
-            if tuple(row) == m:
-                return float(a)
-        return 0.0
+        return self.as_dict().get(tuple(int(v) for v in m), 0.0)
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         self._unbatched("as_dict")

@@ -22,6 +22,13 @@ def test_round_trip_preserves_values(tmp_path):
     assert meta == {"seed": "7", "note": "test"}
 
 
+def test_round_trip_keeps_signed_zeros_and_infinities(tmp_path):
+    values = np.array([complex(-0.0, 1.0), complex(2.0, np.inf), complex(-np.inf, -0.0)])
+    values = values.reshape(1, 1, 3, 1, 1)
+    write_channel(tmp_path / "h.bin", values)
+    assert read_channel(tmp_path / "h.bin").tobytes() == values.tobytes()
+
+
 def test_rejects_wrong_rank(tmp_path):
     with pytest.raises(ValueError):
         write_channel(tmp_path / "h.bin", np.ones((2, 2), dtype=complex))

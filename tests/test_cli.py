@@ -94,6 +94,14 @@ def test_mse_rejects_unknown_config_key(tmp_path, capsys):
     assert main(["mse", "--config", str(config), "--out", str(tmp_path)]) == 2
 
 
+def test_mse_rejects_repeated_config_key(tmp_path, capsys):
+    config = tmp_path / "twice.cfg"
+    config.write_text("trials = 3\ntrials = 5\n")
+    assert main(["mse", "--preset", "fig5a", "--config", str(config),
+                 "--out", str(tmp_path)]) == 2
+    assert f"{config}:2: repeated key 'trials'" in capsys.readouterr().err
+
+
 def test_mle_trajectories(tmp_path):
     config = tmp_path / "mle.cfg"
     config.write_text("iterations = 8\nsnr_db = 10\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,12 +123,34 @@ def test_run_mse_sweep_blocks_change_no_bit(monkeypatch):
     mse_db, ls_db = sweep_by_loop(cfg)
     assert np.array_equal(default.mse_db, mse_db)
     assert np.array_equal(default.ls_db, ls_db)
-    # one observation per block, blocks that straddle trials, one block for all
-    for entries in (1, 5 * spec.size, 21 * spec.size + 1):
+    # one observation per block, SNR runs of 2 then 1, one-trial blocks,
+    # two-trial blocks ending in a one-trial block, one block for all
+    for entries in (1, 2 * spec.size, 5 * spec.size, 6 * spec.size, 21 * spec.size + 1):
         monkeypatch.setattr(sim, "BLOCK_ENTRIES", entries)
         report = run_mse_sweep(cfg)
         for name in ("mse_db", "ls_db", "crb_db"):
             assert np.array_equal(getattr(report, name), getattr(default, name))
+
+
+def test_run_mse_sweep_memory_does_not_grow_with_snrs(monkeypatch):
+    spec = SPEC_PRESETS["ula32-ula32"]
+    monkeypatch.setattr(sim, "BLOCK_ENTRIES", spec.size)
+
+    def traced_peak(n_snr):
+        cfg = ExperimentConfig(spec=spec, snr_grid=tuple(range(n_snr)), degree_list=(1,),
+                               trials=1, seed=2)
+        tracemalloc.start()
+        try:
+            run_mse_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1)  # fills the estimator's basis and weight caches
+    # a block holds one observation here, so 7 more SNRs grow only the small
+    # per-SNR arrays, where estimating the whole trial at once grows by 7
+    # observations and their temporaries
+    assert traced_peak(8) - traced_peak(1) < 16 * spec.size
 
 
 def test_run_mse_sweep_crb_column():
