@@ -1,10 +1,14 @@
 """Multidimensional polynomial phase estimation on complex lattice signals.
 
-The estimator peels coefficients in descending degree order: for each
-multi-index m it applies conjugate-product differencing along each axis m_d
-times, takes a weighted circular average of the result, reads the
-coefficient off the averaged phase, and removes the term from the working
-signal. With the shared falling-factorial basis the differenced phase of a
+The estimator peels coefficients in descending degree order, one total
+degree (a level) at a time. For each multi-index m of a level it applies
+conjugate-product differencing along each axis m_d times to one snapshot of
+the working signal, takes a weighted circular average of the result and
+reads the coefficient off the averaged phase; then it removes the level's
+terms from the working signal. That is exact because the m-th difference of
+p_m' vanishes when |m'| = |m| and m' != m, as in the discrete
+polynomial-phase transform (S. Peleg and B. Friedlander, IEEE Trans. SP,
+1995). With the shared falling-factorial basis the differenced phase of a
 degree-m term is exactly constant, so the noiseless procedure is exact for
 coefficients inside one wrap cycle.
 """
@@ -12,6 +16,7 @@ coefficients inside one wrap cycle.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import groupby, takewhile
 
 import numpy as np
 
@@ -94,35 +99,49 @@ def circular_average(signal: np.ndarray, m) -> complex:
     residual phases wrapped around it. ``m`` is the degree that produced
     ``signal``, which sets the weight table.
     """
-    if len(m) != np.ndim(signal):
-        raise ValueError(f"degree {tuple(m)} does not match the signal rank {np.ndim(signal)}")
+    if len(m) != np.ndim(signal) or any(int(k) < 0 for k in m):
+        raise ValueError(f"need one m_d >= 0 per axis of the signal rank {np.ndim(signal)}, "
+                         f"got {tuple(m)}")
     return complex(*_circular_average(np.asarray(signal), m))
 
 
 def _circular_average(signal: np.ndarray, m):
     """(real, imag) of ``circular_average`` over the trailing ``len(m)`` axes, per leading index.
 
-    The pilot's modulus, the weighted mean and the pilot-correction product
-    are spelled out so that each batch row gets the bits of a lone signal.
+    The weighted mean contracts the residual phases with the 1-D weight factors one
+    axis at a time, from the last, skipping extent 1 (factor 1.0); all of it runs per row.
     """
-    batch = signal.shape[:signal.ndim - len(m)]
+    batch, lattice = signal.shape[:signal.ndim - len(m)], signal.shape[signal.ndim - len(m):]
     flat = signal.reshape(batch + (-1,))
     if flat.shape[-1] == 0:
         raise ValueError("empty signal")
-    if np.any(flat == 0):
+    mag = np.abs(flat)
+    if not mag.all():
         raise ValueError("signal contains zeros; projection undefined")
-    proj = flat / np.abs(flat)
-    total = proj.sum(axis=-1)
-    modulus = np.hypot(total.real, total.imag)
+    inv = 1.0 / mag
+    re, im = (flat.real * inv).sum(axis=-1), (flat.imag * inv).sum(axis=-1)
+    modulus = np.hypot(re, im)
     if np.any(modulus == 0):
         raise ValueError("projections cancel; pilot direction undefined")
-    pilot = total / modulus
-    residual = np.angle(flat * np.conj(total)[..., None])
-    shape = tuple(s + int(k) for s, k in zip(signal.shape[len(batch):], m))
-    w = weights(m, shape).ravel()
-    correction = np.exp(1j * np.vecdot(residual, w))
-    return (pilot.real * correction.real - pilot.imag * correction.imag,
-            pilot.real * correction.imag + pilot.imag * correction.real)
+    residual = np.angle(flat * (re - 1j * im)[..., None])
+    kept = [(int(k), n) for k, n in zip(m, lattice) if n > 1]
+    mean = residual.reshape(batch + tuple(n for _, n in kept))
+    for k, n in reversed(kept):
+        mean = np.vecdot(mean, _weights_1d(k, n + k))
+    cos, sin = np.cos(mean) / modulus, np.sin(mean) / modulus
+    return re * cos - im * sin, re * sin + im * cos
+
+
+def _shared_differences(signal: np.ndarray, ms, first_axis: int):
+    """Yield diff_multi(signal, m) per m in ``ms``, axis d at first_axis + d, sharing passes."""
+    stack, previous = [signal], []  # stack[k]: the last m after its first k passes
+    for m in ms:
+        passes = [first_axis + d for d, k in enumerate(m) for _ in range(int(k))]
+        del stack[1 + len(list(takewhile(lambda pair: pair[0] == pair[1], zip(previous, passes)))):]
+        for axis in passes[len(stack) - 1:]:
+            stack.append(diff(stack[-1], axis))
+        previous = passes
+        yield stack[-1]
 
 
 def _degree_rows(degrees) -> np.ndarray:
@@ -154,16 +173,17 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     order = sorted(range(rows.shape[0]), key=lambda i: term_order(rows[i]), reverse=True)
     work = y.copy()
     coeffs = np.empty(batch + (rows.shape[0],))
-    for i in order:
-        m = tuple(int(v) for v in rows[i])
-        # `differenced` stays bound until the next term, like `proj` and `w` in
-        # _circular_average: freed earlier, they let the heap shrink and fault back
-        differenced = diff_multi(work, (0,) * len(batch) + m)
-        real, imag = _circular_average(differenced, m)
-        a = np.arctan2(imag, real) / (2.0 * np.pi)
-        coeffs[..., i] = a
-        a = a.reshape(batch + (1,) * len(m))
-        work *= np.exp(-2j * np.pi * a * basis_on_support(lattice, m))
+    for _, level in groupby(order, key=lambda i: rows[i].sum()):
+        level = [(i, tuple(int(v) for v in rows[i])) for i in level]
+        # bound until the next level: freed earlier, the stack lets the heap shrink and fault back
+        differenced = _shared_differences(work, [m for _, m in level], len(batch))
+        for (i, m), signal in zip(level, differenced):
+            real, imag = _circular_average(signal, m)
+            coeffs[..., i] = np.arctan2(imag, real) / (2.0 * np.pi)
+        for i, m in level:
+            cycles = coeffs[..., i].reshape(batch + (1,) * len(m)) * basis_on_support(lattice, m)
+            cycles -= np.round(cycles)  # whole cycles: exp need not reduce a large argument
+            work *= np.exp(-2j * np.pi * cycles)
     return PolyPhaseModel(shape=lattice, degrees=rows, coeffs=coeffs)
 
 

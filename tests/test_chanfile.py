@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from nearwave.chanfile import (
     read_channel,
@@ -89,3 +95,72 @@ def test_metadata_rejects_line_without_equals(tmp_path):
     path.write_text("a = 1\nno separator here\n")
     with pytest.raises(ValueError, match=":2:"):
         read_metadata(path)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+channels = arrays(np.complex128, array_shapes(min_dims=5, max_dims=5, max_side=3),
+                  elements=st.complex_numbers(allow_nan=True, allow_infinity=True))
+keys = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
+values = st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=12).filter(
+    lambda v: v == v.strip())
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=channels, metadata=st.dictionaries(keys, values, max_size=4))
+def test_round_trip_property(values, metadata):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "h.bin")
+        write_channel(path, values, metadata=metadata)
+        back = read_channel(path)
+        assert back.shape == values.shape
+        assert back.tobytes() == values.tobytes()  # NaN payloads, signed zeros, infinities
+        assert read_metadata(sidecar_path(path)) == metadata
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=st.lists(st.integers(-2**63, 2**63 - 1), min_size=5, max_size=5)
+       | st.lists(st.integers(0, 3), min_size=5, max_size=5),
+       payload=st.binary(max_size=160), cut=st.integers(0, 200))
+def test_fuzzed_channel_file_reads_as_its_header_or_raises(head, payload, cut):
+    data = (np.array(head, dtype="<i8").tobytes() + payload)[:cut]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "h.bin")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            out = read_channel(path)
+        except ValueError:  # any other error fails the test
+            return
+    assert out.shape == tuple(head)
+    assert 40 + 16 * out.size == len(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=channels, data=st.data())
+def test_truncated_channel_file_raises(values, data):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "h.bin")
+        write_channel(path, values)
+        with open(path, "rb") as fh:
+            full = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(full[:data.draw(st.integers(0, len(full) - 1))])
+        with pytest.raises(ValueError):
+            read_channel(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
+def test_fuzzed_metadata_parses_or_raises(raw):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "x.meta")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            meta = read_metadata(path)
+        except ValueError:
+            return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items())

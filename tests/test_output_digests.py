@@ -1,0 +1,48 @@
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "output_digests", Path(__file__).resolve().parents[1] / "tools" / "output_digests.py")
+output_digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(output_digests)
+
+
+def write(root, rel, text):
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def test_compare_reports_each_csv_column_and_other_file(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "0-mse/mse.csv", "snr,mse,label\n0,-10.0,x\n5,-15.25,y\n10,nan,z\n")
+    write(b, "0-mse/mse.csv", "snr,mse,label\n0,-10.0,x\n5,-15.5,w\n10,-20.0,z\n")
+    write(a, "0-mse/crb.csv", "snr,crb\n0,1e-3\n")
+    write(b, "0-mse/crb.csv", "snr,crb\n0,1e-3\n")
+    write(a, "0-mse/mse.csv.meta", "seed = 0\nconfig = /a/x.cfg\n")
+    write(b, "0-mse/mse.csv.meta", "seed = 0\nconfig = /b/x.cfg\n")
+    write(a, "0-synth/channel.bin", "ab")
+    write(b, "0-synth/channel.bin", "ac")
+    write(a, "0-only/table.csv", "x\n1\n")
+    assert output_digests.compare(str(a), str(b)) == [
+        "0-mse/crb.csv snr identical",
+        "0-mse/crb.csv crb identical",
+        "0-mse/mse.csv snr identical",
+        "0-mse/mse.csv mse max |diff| inf",  # NaN against a number
+        "0-mse/mse.csv label differs",
+        "0-mse/mse.csv.meta identical",  # echoed paths are left out of the digest
+        f"0-only/table.csv only in {a}",
+        "0-synth/channel.bin differs",
+    ]
+
+
+def test_column_differences_reports_largest_gap_and_shape_changes(tmp_path):
+    write(tmp_path, "a.csv", "t,v\n0,1.0\n1,2.0\n2,3.0\n")
+    write(tmp_path, "b.csv", "t,v\n0,1.0\n1,2.5\n2,2.75\n")
+    write(tmp_path, "c.csv", "t,v\n0,1.0\n")
+    write(tmp_path, "d.csv", "t,w\n0,1.0\n1,2.0\n2,3.0\n")
+    gaps = output_digests.column_differences
+    assert gaps(tmp_path / "a.csv", tmp_path / "b.csv") == [("t", "identical"),
+                                                           ("v", "max |diff| 0.5")]
+    assert gaps(tmp_path / "a.csv", tmp_path / "c.csv") == [("(rows)", "differs: 3 against 1")]
+    assert gaps(tmp_path / "a.csv", tmp_path / "d.csv") == [("(header)", "differs")]

@@ -1,8 +1,9 @@
 import time
+from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nearwave import ppe
@@ -22,6 +23,7 @@ from nearwave.wavefront import (
     approx_channel,
     basis_on_support,
     degree_set_for_shape,
+    term_order,
 )
 
 
@@ -168,6 +170,11 @@ def test_circular_average_rejects_rank_mismatch():
     for m in [(0,), (0, 0, 0)]:
         with pytest.raises(ValueError, match="signal rank 2"):
             circular_average(s, m)
+
+
+def test_circular_average_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        circular_average(np.ones(4, dtype=complex), (-1,))
 
 
 def test_circular_average_variance_matches_weighted_mean():
@@ -406,21 +413,43 @@ def noisy_peels(draw):
     return y, rows
 
 
+def oracle_residual_margin(y, rows, coeffs):
+    """Least distance from +-pi, in rad, of a residual phase of ``peel_oracle``, replayed."""
+    order = sorted(range(len(rows)), key=lambda i: (int(rows[i].sum()), tuple(rows[i])),
+                   reverse=True)
+    work = y.copy()
+    margin = np.inf
+    for i in order:
+        m = tuple(int(v) for v in rows[i])
+        flat = diff_multi(work, m).ravel()
+        total = (flat / np.abs(flat)).sum()
+        margin = min(margin, np.pi - np.abs(np.angle(flat * np.conj(total))).max())
+        work *= np.exp(-2j * np.pi * coeffs[i] * basis_on_lattice(work.shape, m))
+    return margin
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=noisy_peels())
-def test_estimate_is_bit_identical_to_per_call_peel(case):
+def test_estimate_matches_per_call_peel_within_tolerance(case):
+    # Level-shared differences, the per-axis weighted mean and the phase reduced before
+    # exp move the last bits. Over 1500 cases the drift stayed below 3e-16 cycles and
+    # 3e-14 in reconstruction, but on pure noise a last-bit change can carry a residual
+    # across the branch cut at +-pi (3 of 1500), or a coefficient across +-0.5 cycles.
     y, rows = case
     coeffs, recon = peel_oracle(y, rows)
+    assume(oracle_residual_margin(y, rows, coeffs) > 1e-6)
+    assume(np.all(np.abs(0.5 - np.abs(coeffs)) > 1e-9))
     ppe._weights_1d.cache_clear()
     basis_on_support.cache_clear()
-    for _ in ("cold", "warm"):
-        model = estimate(y, rows)
-        assert np.array_equal(model.coeffs, coeffs)
-        assert np.array_equal(reconstruct(model), recon)
+    models = [estimate(y, rows) for _ in ("cold", "warm")]
     evict_table_caches()
-    model = estimate(y, rows)
-    assert np.array_equal(model.coeffs, coeffs)
-    assert np.array_equal(reconstruct(model), recon)
+    models.append(estimate(y, rows))
+    for model in models[1:]:
+        assert np.array_equal(model.coeffs, models[0].coeffs)
+        assert np.array_equal(reconstruct(model), reconstruct(models[0]))
+    drift = (models[0].coeffs - coeffs + 0.5) % 1.0 - 0.5
+    assert np.max(np.abs(drift)) <= 1e-12
+    assert np.max(np.abs(reconstruct(models[0]) - recon)) <= 1e-9
 
 
 def test_cached_tables_are_read_only():
@@ -473,6 +502,18 @@ def test_estimate_batch_equals_loop(case):
         alone = estimate(y[idx], rows)
         assert np.array_equal(model.coeffs[idx], alone.coeffs)
         assert np.array_equal(recon[idx], reconstruct(alone))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=batched_peels())
+def test_shared_differences_equal_diff_multi_per_term(case):
+    y, rows = case
+    batch = (0,) * (y.ndim - rows.shape[1])
+    ms = sorted((tuple(int(v) for v in row) for row in rows), key=term_order, reverse=True)
+    for _, level in groupby(ms, key=sum):
+        level = list(level)
+        for m, shared in zip(level, ppe._shared_differences(y, level, len(batch)), strict=True):
+            assert np.array_equal(shared, diff_multi(y, batch + m))
 
 
 def test_estimate_checks_apply_to_the_lattice_axes():

@@ -1,27 +1,36 @@
-"""Print the sha256 of every file that a fixed set of nearwave CLI calls writes.
+"""Digest, keep and compare the files that a fixed set of nearwave CLI calls writes.
 
     PYTHONPATH=src python3 tools/output_digests.py > digests.txt
+    PYTHONPATH=src python3 tools/output_digests.py --keep DIR > digests.txt
+    python3 tools/output_digests.py --compare DIR_A DIR_B
 
-Run it once per checkout, each time with that checkout's ``src`` on
-PYTHONPATH, and ``diff`` the two outputs: equal lines mean byte-identical
-data files and ``.meta`` sidecars. Each line reads ``<seed> <call> <file>
-<sha256>``. The calls are the ``synth``, ``estimate``, ``mse``, ``mle`` and
-``landscape`` runs below, at seeds 0 and 4. Sidecar lines that echo the
-``config`` or ``input`` path are left out of the digest, because those paths
-name this run's temporary files. Uses the standard library and nearwave only.
+The first two forms run the calls and print one line per written file,
+``<seed> <call> <file> <sha256>``. Run them once per checkout, each time
+with that checkout's ``src`` on PYTHONPATH, and ``diff`` the two outputs:
+equal lines mean byte-identical data files and ``.meta`` sidecars. The calls
+are the ``synth``, ``estimate``, ``mse``, ``mle`` and ``landscape`` runs
+below, at seeds 0 and 4. Sidecar lines that echo the ``config`` or ``input``
+path are left out of the digest, because those paths name this run's own
+files. ``--keep DIR`` writes the outputs into DIR, a new directory, instead
+of a temporary one.
+
+``--compare`` reads two kept directories and prints, for every column of
+every CSV file, ``identical`` or the largest absolute difference between
+the two files' numbers, and for every other file whether its digest is
+identical. Uses the standard library and, to run the calls, nearwave only.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
-
-import nearwave
-from nearwave import cli
 
 SEEDS = (0, 4)
 ECHOED_KEYS = ("config", "input")
@@ -58,6 +67,8 @@ def digest(path: str) -> str:
 
 
 def run(root: str, seed: int, name: str, argv: list[str], config: str | None) -> None:
+    from nearwave import cli
+
     out_dir = os.path.join(root, f"{seed}-{name}")
     os.mkdir(out_dir)
     if config is not None:
@@ -74,9 +85,72 @@ def run(root: str, seed: int, name: str, argv: list[str], config: str | None) ->
         print(seed, name, file, digest(os.path.join(out_dir, file)))
 
 
-def main() -> None:
+def column_differences(path_a: str, path_b: str) -> list[tuple[str, str]]:
+    """(column, ``identical`` or the largest absolute difference) of two CSV files.
+
+    A column whose differing cells do not all parse as numbers reads
+    ``differs``, and NaN against a number counts as an infinite difference;
+    a differing header or row count is reported for the whole file.
+    """
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not a or not b or a[0] != b[0]:
+        return [("(header)", "differs")]
+    if len(a) != len(b):
+        return [("(rows)", f"differs: {len(a) - 1} against {len(b) - 1}")]
+    out = []
+    for col, name in enumerate(a[0]):
+        pairs = [(ra[col], rb[col]) for ra, rb in zip(a[1:], b[1:]) if ra[col] != rb[col]]
+        if not pairs:
+            out.append((name, "identical"))
+            continue
+        try:
+            gaps = [abs(float(x) - float(y)) for x, y in pairs]
+        except ValueError:
+            out.append((name, "differs"))
+            continue
+        gap = max(math.inf if math.isnan(g) else g for g in gaps)  # NaN against a number
+        out.append((name, f"max |diff| {gap:.3g}"))
+    return out
+
+
+def files(root: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root)
+            for f in names}
+
+
+def compare(dir_a: str, dir_b: str) -> list[str]:
+    """One line per CSV column and per other file of two kept output directories."""
+    in_a, in_b = files(dir_a), files(dir_b)
+    lines = []
+    for rel in sorted(in_a | in_b):
+        a, b = os.path.join(dir_a, rel), os.path.join(dir_b, rel)
+        if rel not in in_a or rel not in in_b:
+            lines.append(f"{rel} only in {dir_a if rel in in_a else dir_b}")
+        elif rel.endswith(".csv"):
+            lines += [f"{rel} {col} {result}" for col, result in column_differences(a, b)]
+        else:
+            lines.append(f"{rel} {'identical' if digest(a) == digest(b) else 'differs'}")
+    return lines
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--keep", metavar="DIR", help="write the outputs into DIR, a new directory")
+    mode.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                      help="compare two directories written with --keep")
+    args = parser.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return
+    import nearwave
+
     print(f"nearwave from {os.path.dirname(nearwave.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as root:
+        if args.keep:
+            os.mkdir(args.keep)
+            root = args.keep
         for seed in SEEDS:
             for name, argv, config in calls(root, seed):
                 run(root, seed, name, argv, config)
