@@ -91,8 +91,16 @@ def weights(m, shape) -> np.ndarray:
     return reduce(np.multiply.outer, factors, np.ones(()))  # a new array, never a cached factor
 
 
+def _unit(signal: np.ndarray) -> np.ndarray:
+    """``signal / |signal|``; the one check on values: each modulus finite and nonzero."""
+    mag = np.abs(signal)
+    if not (np.all(np.isfinite(mag)) and mag.all()):
+        raise ValueError("every signal entry must have a finite nonzero modulus")
+    return signal / mag
+
+
 def circular_average(signal: np.ndarray, m) -> complex:
-    """Weighted circular average of a differenced signal, unit modulus.
+    """Weighted circular average of a differenced signal, unit modulus, at any scale.
 
     The plain sum of the unit-modulus projections fixes a pilot direction;
     the output is that direction corrected by the weighted mean of the
@@ -102,34 +110,28 @@ def circular_average(signal: np.ndarray, m) -> complex:
     if len(m) != np.ndim(signal) or any(int(k) < 0 for k in m):
         raise ValueError(f"need one m_d >= 0 per axis of the signal rank {np.ndim(signal)}, "
                          f"got {tuple(m)}")
-    return complex(*_circular_average(np.asarray(signal), m))
+    return complex(np.exp(2j * np.pi * _circular_average(_unit(np.asarray(signal)), m)))
 
 
 def _circular_average(signal: np.ndarray, m):
-    """(real, imag) of ``circular_average`` over the trailing ``len(m)`` axes, per leading index.
+    """Phase in cycles, in [-0.5, 0.5], of ``circular_average`` of unit phasors, per row.
 
-    The weighted mean contracts the residual phases with the 1-D weight factors one
-    axis at a time, from the last, skipping extent 1 (factor 1.0); all of it runs per row.
+    Rows are the leading axes, averaged over the trailing ``len(m)``. The weighted mean
+    contracts the residual phases with the 1-D weight factors one axis at a time, from the
+    last, skipping extent 1 (factor 1.0).
     """
     batch, lattice = signal.shape[:signal.ndim - len(m)], signal.shape[signal.ndim - len(m):]
     flat = signal.reshape(batch + (-1,))
-    if flat.shape[-1] == 0:
-        raise ValueError("empty signal")
-    mag = np.abs(flat)
-    if not mag.all():
-        raise ValueError("signal contains zeros; projection undefined")
-    inv = 1.0 / mag
-    re, im = (flat.real * inv).sum(axis=-1), (flat.imag * inv).sum(axis=-1)
-    modulus = np.hypot(re, im)
-    if np.any(modulus == 0):
+    pilot = flat.sum(axis=-1)
+    if np.any(pilot == 0):
         raise ValueError("projections cancel; pilot direction undefined")
-    residual = np.angle(flat * (re - 1j * im)[..., None])
+    residual = np.angle(flat * np.conj(pilot)[..., None])
     kept = [(int(k), n) for k, n in zip(m, lattice) if n > 1]
     mean = residual.reshape(batch + tuple(n for _, n in kept))
     for k, n in reversed(kept):
         mean = np.vecdot(mean, _weights_1d(k, n + k))
-    cos, sin = np.cos(mean) / modulus, np.sin(mean) / modulus
-    return re * cos - im * sin, re * sin + im * cos
+    cycles = (np.angle(pilot) + mean) / (2.0 * np.pi)
+    return cycles - np.round(cycles)
 
 
 def _shared_differences(signal: np.ndarray, ms, first_axis: int):
@@ -151,7 +153,7 @@ def _degree_rows(degrees) -> np.ndarray:
 
 
 def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
-    """Estimate polynomial phase coefficients of ``y`` by sequential peeling.
+    """Estimate polynomial phase coefficients from the phases of ``y`` by sequential peeling.
 
     ``degrees`` is a DegreeSet or an array of multi-indices; terms are
     processed in descending total degree (lexicographic tie-break). Each
@@ -159,7 +161,7 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     The lattice is the trailing axes of ``y``, one per multi-index entry;
     any leading axes index independent observations, each peeled to the
     same bits as alone, and the model's ``coeffs`` has shape
-    ``batch + (terms,)``.
+    ``batch + (terms,)``. Every entry of ``y`` needs a finite nonzero modulus.
     """
     y = np.asarray(y, dtype=complex)
     rows = _degree_rows(degrees)
@@ -168,18 +170,15 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     batch, lattice = y.shape[:y.ndim - rows.shape[1]], y.shape[y.ndim - rows.shape[1]:]
     if np.any(rows < 0) or np.any(rows >= np.asarray(lattice)):
         raise ValueError("every degree must satisfy 0 <= m_d < N_d")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("signal must be finite")
     order = sorted(range(rows.shape[0]), key=lambda i: term_order(rows[i]), reverse=True)
-    work = y.copy()
+    work = _unit(y)
     coeffs = np.empty(batch + (rows.shape[0],))
     for _, level in groupby(order, key=lambda i: rows[i].sum()):
         level = [(i, tuple(int(v) for v in rows[i])) for i in level]
         # bound until the next level: freed earlier, the stack lets the heap shrink and fault back
         differenced = _shared_differences(work, [m for _, m in level], len(batch))
         for (i, m), signal in zip(level, differenced):
-            real, imag = _circular_average(signal, m)
-            coeffs[..., i] = np.arctan2(imag, real) / (2.0 * np.pi)
+            coeffs[..., i] = _circular_average(signal, m)
         for i, m in level:
             cycles = coeffs[..., i].reshape(batch + (1,) * len(m)) * basis_on_support(lattice, m)
             cycles -= np.round(cycles)  # whole cycles: exp need not reduce a large argument

@@ -239,8 +239,8 @@ class PolyPhaseModel:
             raise ValueError("coeffs must end in one axis of one entry per degree row")
         if degrees.ndim != 2 or degrees.shape[1] != len(self.shape):
             raise ValueError("degree multi-indices must match the lattice rank")
-        if np.any(degrees >= np.asarray(self.shape)):
-            raise ValueError("every degree must satisfy m_d < N_d componentwise")
+        if np.any(degrees < 0) or np.any(degrees >= np.asarray(self.shape)):
+            raise ValueError("every degree must satisfy 0 <= m_d < N_d componentwise")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "coeffs", coeffs)

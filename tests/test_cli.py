@@ -267,3 +267,69 @@ def test_config_keys_per_subcommand(tmp_path, capsys, command):
         capsys.readouterr()
         assert run({key: value}) == 2
         assert key in capsys.readouterr().err
+
+
+# Per case: subcommand arguments, config text or None, and the message the run gives.
+BOUNDARY_CASES = [
+    (["synth", "--preset", "ula8-single"], "amplitude = bogus\n", "amplitude must be"),
+    (["synth", "--preset", "ula8-single"], "pose = bogus\n", "pose must be"),
+    (["mse", "--preset", "fig5a", "--trials", "0"], None, "trials must be >= 1"),
+    (["mse", "--preset", "fig5a"], "amplitude_mode = bogus\n", "amplitude_mode must be"),
+    (["mse", "--preset", "fig5a"], "snr_grid = nan\n", "snr values must be finite"),
+    (["mle", "--preset", "fig3a", "--starts", "0"], None, "num_starts must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", BOUNDARY_CASES)
+def test_bad_setting_exit_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.glob("*.meta"))
+
+
+def scaled_channel(tmp_path, scale):
+    """A ``ula32-ula32`` channel file times ``scale``; returns its path."""
+    assert main(["synth", "--preset", "ula32-ula32", "--out", str(tmp_path)]) == 0
+    path = tmp_path / f"scaled-{scale:g}.bin"
+    chanfile.write_channel(path, scale * chanfile.read_channel(tmp_path / "channel.bin"))
+    return path
+
+
+def estimated_cycles(path, out):
+    out.mkdir()
+    assert main(["estimate", "--degree", "3", "--input", str(path), "--out", str(out)]) == 0
+    rows = (out / "coefficients.csv").read_text().strip().splitlines()[1:]
+    return np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+
+
+def test_estimate_reads_the_same_coefficients_at_any_scale(tmp_path, capsys):
+    unscaled = estimated_cycles(scaled_channel(tmp_path, 1.0), tmp_path / "one")
+    assert np.all(np.isfinite(unscaled))
+    for scale in (1e45, 1e-45):
+        cycles = estimated_cycles(scaled_channel(tmp_path, scale), tmp_path / f"{scale:g}")
+        assert np.max(np.abs((cycles - unscaled + 0.5) % 1.0 - 0.5)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_estimate_bad_channel_entry_exit_2(tmp_path, capsys, bad):
+    path = scaled_channel(tmp_path, 1.0)
+    values = chanfile.read_channel(path)
+    values[5, 0, 17, 0, 0] = bad
+    chanfile.write_channel(path, values)
+    assert main(["estimate", "--degree", "3", "--input", str(path), "--out", str(tmp_path)]) == 2
+    assert "finite nonzero modulus" in capsys.readouterr().err
+
+
+def test_mse_meta_records_each_warning(tmp_path, capsys):
+    # one trial of degree 1 on the 32x32 link at 20 dB sits far above its CRB asymptote
+    config = tmp_path / "mse.cfg"
+    config.write_text("snr_grid = 20\ndegree_list = 1\n")
+    assert main(["mse", "--preset", "fig5b", "--trials", "1", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    meta = chanfile.read_metadata(tmp_path / "mse.csv.meta")
+    assert meta["warning_0"].startswith("degree 1 at 20 dB: MSE ")
+    assert "exceeds 10x the CRB asymptote" in meta["warning_0"]

@@ -136,6 +136,14 @@ def test_rotation_log_round_trip():
         assert np.max(np.abs(rotation_from_tangent(w) - R)) < 1e-8
 
 
+@pytest.mark.parametrize("w", [[1e-9, -2e-9, 3e-9], [0.0, 0.0, 5e-8], [0.0, 0.0, 0.0]])
+def test_rotation_log_round_trip_at_small_angles(w):
+    # below 1e-7 rad, rotation_log reads the tangent off the antisymmetric part
+    R = rotation_from_tangent(w)
+    assert np.allclose(rotation_log(R), w, rtol=1e-9, atol=1e-24)
+    assert np.max(np.abs(rotation_from_tangent(rotation_log(R)) - R)) < 1e-15
+
+
 def test_rotation_log_near_pi():
     rng = np.random.default_rng(6)
     for _ in range(20):

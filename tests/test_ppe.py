@@ -535,3 +535,69 @@ def test_expand_to_lattice_rejects_batched_model():
     model = estimate(np.ones((2, 3), dtype=complex), np.array([[1], [0]]))
     with pytest.raises(ValueError, match=r"batch shape \(2,\)"):
         expand_to_lattice(model, (np.array([0, 2, 4]),), (5,))
+
+
+# ---------------------------------------------------------------------------
+# scale and the input check
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scaled_peels(draw):
+    """A noisy polynomial phase on a lattice of rank 1 to 3, all degrees up to total 3 or 4.
+
+    Extents run 2 to 6 and reach total degree 3 at least, under 0 to 2 leading batch
+    axes of 1 to 3; the noise is at 20 dB.
+    """
+    shape = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)
+                       .filter(lambda s: sum(s) - len(s) >= 3)))
+    total = draw(st.integers(3, 4))
+    rows = np.array([m for m in np.ndindex(shape) if sum(m) <= total])
+    batch = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = PolyPhaseModel(shape=shape, degrees=rows, coeffs=rng.uniform(-0.4, 0.4, len(rows)))
+    noise = rng.normal(size=batch + shape) + 1j * rng.normal(size=batch + shape)
+    return approx_channel(truth) + 0.07 * noise, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scaled_peels(),
+       scale=st.sampled_from([10.0 ** e for e in (30, -30, 45, -45, 80, -80, 300, -300)]))
+def test_estimate_is_scale_invariant(case, scale):
+    # each differenced entry multiplies up to 2^4 raw entries, which over- or underflows
+    # at these scales unless the magnitudes are divided out first
+    y, rows = case
+    drift = (estimate(scale * y, rows).coeffs - estimate(y, rows).coeffs + 0.5) % 1.0 - 0.5
+    assert np.max(np.abs(drift)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(1.0, np.inf)])
+@pytest.mark.parametrize("row", [0, -1])
+def test_estimate_rejects_a_bad_entry_in_any_batch_row(bad, row):
+    y = np.exp(1j * np.arange(24.0)).reshape(3, 8)
+    y[row, 5] = bad
+    with pytest.raises(ValueError, match="finite nonzero modulus"):
+        estimate(y, np.array([[2], [1], [0]]))
+
+
+@pytest.mark.parametrize("signal", [np.array([1.0, np.nan, 1.0]), np.array([1.0, np.inf]),
+                                    np.array([1.0, complex(-np.inf, 1.0)]), np.ones(0)])
+def test_circular_average_rejects_non_finite_and_empty(signal):
+    with pytest.raises(ValueError):
+        circular_average(signal.astype(complex), (0,))
+
+
+@pytest.mark.parametrize("coords, full_shape, message", [
+    ((np.arange(4),), (8, 1), "cover every lattice axis"),
+    ((np.arange(3),), (8,), "match the sublattice shape"),
+    ((np.array([0, 2, 4, 8]),), (8,), "out of range"),
+    ((np.array([0, -1, 4, 6]),), (8,), "out of range"),
+    ((np.arange(4),), (8,), "sublattice too small"),
+])
+def test_expand_to_lattice_rejects_bad_coordinates(coords, full_shape, message):
+    rows = np.array([[3], [2], [1], [0]])
+    model = PolyPhaseModel(shape=(4,), degrees=rows, coeffs=np.zeros(4))
+    degrees = np.array([[4], [0]]) if message == "sublattice too small" else None
+    with pytest.raises(ValueError, match=message):
+        expand_to_lattice(model, coords, full_shape, degrees)

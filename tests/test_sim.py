@@ -226,6 +226,15 @@ def test_pilot_subsample_counts():
         pilot_subsample(np.zeros((1, 1, 2, 1, 1), dtype=complex), 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pilot_subsample(np.ones((8, 8), dtype=complex), 2), "5-axis"),
+    (lambda: sim._pilot_indices(3, 5), "cannot place 5 distinct pilots on extent 3"),
+])
+def test_pilot_placement_rejects_what_it_cannot_place(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_estimate_from_pilots_exact_on_polynomial_truth():
     shape = (4, 1, 8, 8, 1)
     rng = np.random.default_rng(5)

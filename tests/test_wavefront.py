@@ -189,6 +189,17 @@ def batched_model():
                           coeffs=np.arange(9.0).reshape(3, 3) / 20.0)
 
 
+@pytest.mark.parametrize("degrees, message", [
+    ([[-1], [0]], "0 <= m_d < N_d"),
+    ([[4], [0]], "0 <= m_d < N_d"),
+    ([[1, 0], [0, 0]], "match the lattice rank"),
+    ([1, 0], "match the lattice rank"),
+])
+def test_poly_phase_model_checks_each_degree_row(degrees, message):
+    with pytest.raises(ValueError, match=message):
+        PolyPhaseModel(shape=(4,), degrees=np.array(degrees), coeffs=[0.3, 0.1])
+
+
 def test_poly_phase_model_checks_the_term_axis():
     degrees = np.array([[1], [0]])
     with pytest.raises(ValueError, match="one entry per degree row"):

@@ -9,10 +9,11 @@ The first two forms run the calls and print one line per written file,
 with that checkout's ``src`` on PYTHONPATH, and ``diff`` the two outputs:
 equal lines mean byte-identical data files and ``.meta`` sidecars. The calls
 are the ``synth``, ``estimate``, ``mse``, ``mle`` and ``landscape`` runs
-below, at seeds 0 and 4. Sidecar lines that echo the ``config`` or ``input``
-path are left out of the digest, because those paths name this run's own
-files. ``--keep DIR`` writes the outputs into DIR, a new directory, instead
-of a temporary one.
+below, at seeds 0 and 4; the ``estimate`` runs reach degree 2 on a planar
+link and degree 3 on 32 frequencies. Sidecar lines that echo the ``config``
+or ``input`` path are left out of the digest, because those paths name this
+run's own files. ``--keep DIR`` writes the outputs into DIR, a new
+directory, instead of a temporary one.
 
 ``--compare`` reads two kept directories and prints, for every column of
 every CSV file, ``identical`` or the largest absolute difference between
@@ -40,11 +41,14 @@ def calls(root: str, seed: int):
     """(name, argv without --out, config text or None) of every call at ``seed``."""
     s = ["--seed", str(seed)]
     random_channel = os.path.join(root, f"{seed}-synth-random", "channel.bin")
+    wideband_channel = os.path.join(root, f"{seed}-synth-random-nf32", "channel.bin")
     out = [
         ("synth-default", ["synth", "--preset", "ula32-ula32", *s], None),
         ("synth-euler", ["synth", "--preset", "ula32-ula32", *s], "pose_euler = 0.3 -0.2 0.1\n"),
         ("synth-random", ["synth", "--preset", "upa4x4-upa4x4", *s], "pose = random\n"),
         ("estimate", ["estimate", "--degree", "2", "--input", random_channel], None),
+        ("synth-random-nf32", ["synth", "--preset", "ula32-single-nf32", *s], "pose = random\n"),
+        ("estimate-nf32", ["estimate", "--degree", "3", "--input", wideband_channel], None),
     ]
     for preset, trials in (("fig5a", 20), ("fig6a", 20), ("fig5b", 3), ("fig5d", 3),
                            ("upa-desk", 2)):
