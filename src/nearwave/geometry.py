@@ -34,11 +34,11 @@ class ArraySpec:
     Attributes:
         ntx, nty: transmit antenna counts along the array's x and y axes.
         nrx, nry: receive antenna counts along the array's x and y axes.
-        dtx, dty, drx, dry: antenna spacings in meters. A spacing may be 0
-            only for a singleton dimension.
+        dtx, dty, drx, dry: finite antenna spacings in meters, > 0 except
+            that a singleton dimension's may be 0.
         nf: number of equispaced frequencies.
-        df: dimensionless fractional frequency step.
-        fc: carrier frequency in Hz.
+        df: dimensionless fractional frequency step, finite and >= 0.
+        fc: carrier frequency in Hz, finite and > 0.
     """
 
     ntx: int = 1
@@ -57,22 +57,22 @@ class ArraySpec:
         for name in ("ntx", "nty", "nrx", "nry", "nf"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for count, spacing in (
-            (self.ntx, self.dtx),
-            (self.nty, self.dty),
-            (self.nrx, self.drx),
-            (self.nry, self.dry),
-        ):
-            if count > 1 and spacing <= 0.0:
-                raise ValueError("spacing must be > 0 for a non-singleton dimension")
-        if self.df < 0.0:
-            raise ValueError("df must be >= 0")
-        if self.fc <= 0.0:
-            raise ValueError("fc must be > 0")
+        # written so that NaN fails each comparison
+        for count, spacing in ((self.ntx, self.dtx), (self.nty, self.dty),
+                               (self.nrx, self.drx), (self.nry, self.dry)):
+            if not (0.0 < spacing < math.inf or count == 1 and spacing == 0.0):
+                raise ValueError("spacing must be finite and > 0 for a non-singleton "
+                                 "dimension, and finite and >= 0 for a singleton")
+        if not 0.0 <= self.df < math.inf:
+            raise ValueError("df must be finite and >= 0")
+        if not 0.0 < self.fc < math.inf:
+            raise ValueError("fc must be finite and > 0")
 
     @classmethod
     def half_wavelength(cls, ntx=1, nty=1, nrx=1, nry=1, nf=1, df=0.0, fc=30e9):
         """Spec with half-wavelength spacings at the carrier on every axis."""
+        if not 0.0 < fc < math.inf:
+            raise ValueError("fc must be finite and > 0")
         d = SPEED_OF_LIGHT / fc / 2.0
         return cls(ntx=ntx, nty=nty, nrx=nrx, nry=nry,
                    dtx=d, dty=d, drx=d, dry=d, nf=nf, df=df, fc=fc)
@@ -136,7 +136,7 @@ class GeometryPose:
     """Rigid placement of the receive array: translation ``r`` and rotation ``R``.
 
     ``R`` must be orthonormal with determinant +1 (tolerance 1e-12) and
-    ``r`` must be nonzero.
+    ``r`` nonzero and finite.
     """
 
     r: np.ndarray
@@ -145,12 +145,13 @@ class GeometryPose:
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float).reshape(3)
         R = np.asarray(self.R, dtype=float).reshape(3, 3)
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
-            raise ValueError("R is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > 1e-12:
+        # written so that NaN and infinity fail each comparison
+        if not np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-12:
+            raise ValueError("R is not a finite orthonormal matrix")
+        if not abs(np.linalg.det(R) - 1.0) <= 1e-12:
             raise ValueError("R must have determinant +1")
-        if np.linalg.norm(r) <= 0.0:
-            raise ValueError("translation must be nonzero")
+        if not 0.0 < np.linalg.norm(r) < math.inf:
+            raise ValueError("translation must be nonzero and finite")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "R", R)
 
@@ -274,8 +275,8 @@ def sample_pose(rng: np.random.Generator, rmin: float = 5.0, rmax: float = 15.0,
     shell volume (inverse CDF on the cubed radius), "radius" draws the
     radius uniformly on [rmin, rmax].
     """
-    if not 0.0 < rmin < rmax:
-        raise ValueError("need 0 < rmin < rmax")
+    if not 0.0 < rmin < rmax < math.inf:
+        raise ValueError("need 0 < rmin < rmax < inf")
     if measure == "volume":
         radius = rng.uniform(rmin**3, rmax**3) ** (1.0 / 3.0)
     elif measure == "radius":
@@ -332,17 +333,18 @@ def antenna_positions_alt(spec: ArraySpec, distance: float, tx_angles, rx_angles
     return tx, rx
 
 
-def pair_offsets(spec: ArraySpec, r: np.ndarray, R: np.ndarray) -> np.ndarray:
+def pair_offsets(spec: ArraySpec, r: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
     """Receive-minus-transmit antenna offsets for a batch of poses.
 
     ``r`` has shape (S, 3) and ``R`` shape (S, 3, 3); the result has shape
-    (S, nrx, nry, ntx, nty, 3). Rotations are not validated.
+    (S, nrx, nry, ntx, nty, 3) and is written into ``out`` when given.
+    Rotations are not validated.
     """
     r = np.asarray(r, dtype=float)
     R = np.asarray(R, dtype=float)
     rx = r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, rx_local_grid(spec))
     tx = tx_positions(spec)
-    out = np.empty(rx.shape[:3] + tx.shape)
+    out = np.empty(rx.shape[:3] + tx.shape) if out is None else out
     # one subtraction per component: broadcasting over the 3-long last axis
     # runs numpy's inner loop three entries at a time, which is slow
     for i in range(3):
@@ -350,14 +352,18 @@ def pair_offsets(spec: ArraySpec, r: np.ndarray, R: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_distances(offsets: np.ndarray) -> np.ndarray:
+def pair_distances(offsets: np.ndarray, out=None) -> np.ndarray:
     """Euclidean length of each offset along the last axis, shape (..., 3) -> (...).
 
     Summed in the order np.linalg.norm(offsets, axis=-1) uses, so the bits
-    match it, without its reduction over a 3-long axis.
+    match it, without its reduction over a 3-long axis. Written into ``out``
+    when given.
     """
     x, y, z = offsets[..., 0], offsets[..., 1], offsets[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
+    out = np.multiply(x, x, out=out)
+    out += y * y
+    out += z * z
+    return np.sqrt(out, out=out)
 
 
 def distance_tensor(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
@@ -398,19 +404,21 @@ def synth_batch(spec: ArraySpec, r: np.ndarray, R: np.ndarray,
 
 
 def synth_from_distances(spec: ArraySpec, r: np.ndarray, dist: np.ndarray,
-                         unit_amplitude: bool = False) -> np.ndarray:
+                         unit_amplitude: bool = False, out=None) -> np.ndarray:
     """Channel tensors from the pair distances ``dist`` (S, nrx, nry, ntx, nty).
 
     ``r`` (S, 3) gives the center distance of the amplitude factor. The
     result, shape (S, nrx, nry, ntx, nty, nf), is what ``synth_batch``
-    returns for the poses whose pair distances these are.
+    returns for the poses whose pair distances these are; it is written into
+    ``out`` when given. The phase is the one temporary; the amplitude ratio
+    reuses it.
     """
     phase = (-2.0 * np.pi / spec.wavelength) * dist[..., None] * frequency_factors(spec)
-    h = np.exp(1j * phase)
+    h = np.exp(np.multiply(1j, phase, out=out), out=out)
     if not unit_amplitude:
         # a per-pose dot product, as GeometryPose.distance takes it, so the
         # amplitude uses the same D to the last bit
         center = np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            h *= (center[:, None, None, None, None] / dist)[..., None]
+            h *= np.divide(center[:, None, None, None, None, None], dist[..., None], out=phase)
     return h

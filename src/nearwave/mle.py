@@ -37,9 +37,9 @@ COST_VARIANTS = ("plain", "complex_beta", "unit_beta")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# channel entries per block of the cost-and-gradient pass and of the final
-# cost pass: 32 starts of the 32x32 link, which bounds the temporaries of
-# both to a few MB for any start count
+# channel entries per block of the cost pass, with or without the gradient:
+# 32 starts of the 32x32 link. One workspace sized for a block serves every
+# block of a run, so its arrays are a few MB for any start count
 GRAD_BLOCK_ENTRIES = 32768
 
 _DB_FLOOR = 1e-30  # linear cost floor so dB trajectories stay finite
@@ -90,19 +90,23 @@ class DivergedError(RuntimeError):
     """Every optimizer start reached a non-finite cost or gradient."""
 
 
-def _fit(y: np.ndarray, h: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
+def _fit(y: np.ndarray, h: np.ndarray, variant: str, work=None,
+         real_work=None) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form attenuation and cost of each batched channel h (S, ...) against y.
 
     Returns (beta, cost), each of shape (S,), with cost = mean |y - beta h|^2.
+    Complex ``work`` and real ``real_work`` shaped like h take the temporaries.
     """
     axes = tuple(range(1, h.ndim))
     size = y.size
     if variant == "plain":
-        return np.ones(len(h), dtype=complex), np.sum(np.abs(y[None] - h) ** 2, axis=axes) / size
-    inner = np.sum(y[None] * np.conj(h), axis=axes)
+        res = np.abs(np.subtract(y, h, out=work), out=real_work)
+        return np.ones(len(h), dtype=complex), np.sum(np.square(res, out=res), axis=axes) / size
+    inner = np.sum(np.multiply(y, np.conj(h, out=work), out=work), axis=axes)
     corr = np.abs(inner)
     y_energy = np.sum(np.abs(y) ** 2)
-    h_energy = np.sum(np.abs(h) ** 2, axis=axes)
+    h_abs = np.abs(h, out=real_work)
+    h_energy = np.sum(np.square(h_abs, out=h_abs), axis=axes)
     if variant == "complex_beta":
         return inner / h_energy, (y_energy - corr**2 / h_energy) / size
     if variant == "unit_beta":
@@ -148,10 +152,56 @@ def beta_hat(y, spec: ArraySpec, pose: GeometryPose, variant: str = "complex_bet
     return complex(beta)
 
 
-def _blocks(spec: ArraySpec, count: int):
-    """Slices of ``count`` starts in blocks of about GRAD_BLOCK_ENTRIES channel entries."""
-    step = max(1, GRAD_BLOCK_ENTRIES // spec.size)
-    return (slice(lo, lo + step) for lo in range(0, count, step))
+def _workspace(spec: ArraySpec, count: int):
+    """One block's arrays for ``_cost_pass`` over ``count`` starts: pair offsets,
+    distances and gradient weights, the channel, and complex and real scratch."""
+    pairs = (max(1, min(count, GRAD_BLOCK_ENTRIES // spec.size)),
+             spec.nrx, spec.nry, spec.ntx, spec.nty)
+    entries = pairs + (spec.nf,)
+    return (np.empty(pairs + (3,)), np.empty(pairs), np.empty(pairs),
+            np.empty(entries, dtype=complex), np.empty(entries, dtype=complex),
+            np.empty(entries))
+
+
+def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
+    """Cost of each start at ``params`` (S, 6), and its gradient into ``grad`` if given.
+
+    Starts run in blocks the size of ``work`` (from ``_workspace``), which
+    holds each block's arrays; no start's numbers depend on its block.
+    """
+    cost = np.empty(len(params))
+    step = len(work[0])
+    for lo in range(0, len(params), step):
+        part = slice(lo, lo + step)
+        r, omega = params[part, :3], params[part, 3:]
+        offsets, dist, g, h, zh, real_work = (a[:len(r)] for a in work)
+        pair_offsets(spec, r, base_rotations[part] @ rotation_from_tangent_batch(omega),
+                     out=offsets)
+        synth_from_distances(spec, r, pair_distances(offsets, out=dist), out=h)
+        beta, cost[part] = _fit(y, h, variant, zh, real_work)
+        if grad is None:
+            continue
+        beta = beta.reshape((-1,) + (1,) * (h.ndim - 1))
+        # d cost = Re sum conj(z) dh with z = -(2/N) conj(beta) (y - beta h); beta
+        # is the optimum of its variant, so its own variation drops out
+        np.conj(np.subtract(y, np.multiply(beta, h, out=zh), out=zh), out=zh)
+        np.multiply((-2.0 / y.size) * beta, zh, out=zh)
+        zh *= h
+        # h = (D / d) exp(j kappa f d): the weight of each pair distance, and of
+        # log D through the amplitude; the weights overwrite h, which is used up
+        kappa = -2.0 * np.pi / spec.wavelength
+        np.add(np.divide(-1.0, dist, out=g)[..., None],
+               1j * kappa * frequency_factors(spec), out=h)
+        np.sum(np.multiply(zh, h, out=h).real, axis=-1, out=g)
+        amp = np.sum(zh.real, axis=tuple(range(1, h.ndim)))
+        # sum over transmit antennas of g u, u = offset / d the unit pair vector
+        gu = np.einsum("sxyabi,sxyab->sxyi", offsets, np.divide(g, dist, out=g))
+        grad[part, :3] = gu.sum(axis=(1, 2)) + (amp / np.sum(r * r, axis=1))[:, None] * r
+        # d cost / dR = M = sum g u p_rx^T over pairs, p_rx in the array frame
+        M = np.einsum("sxyi,xyj->sij", gu, rx_local_grid(spec))
+        dR = base_rotations[part, None] @ rotation_jacobian_batch(omega)
+        grad[part, 3:] = np.sum(dR * M[:, None], axis=(2, 3))
+    return cost
 
 
 def batched_cost(y, spec: ArraySpec, params, base_rotations, variant: str) -> np.ndarray:
@@ -159,42 +209,11 @@ def batched_cost(y, spec: ArraySpec, params, base_rotations, variant: str) -> np
 
     Start s has the pose (r, base_rotations[s] @ expm(skew(omega))). Starts
     are evaluated in the blocks of ``cost_and_grad``, which bound the
-    temporaries for any start count; each start's cost does not depend on
-    the block it lands in.
+    memory for any start count; each start's cost does not depend on the
+    block it lands in.
     """
-    y = np.asarray(y)
-    cost = np.empty(len(params))
-    for part in _blocks(spec, len(params)):
-        R = base_rotations[part] @ rotation_from_tangent_batch(params[part, 3:])
-        cost[part] = _fit(y, synth_batch(spec, params[part, :3], R), variant)[1]
-    return cost
-
-
-def _cost_and_grad_block(y, spec, params, base_rotations, variant):
-    r, omega = params[:, :3], params[:, 3:]
-    offsets = pair_offsets(spec, r, base_rotations @ rotation_from_tangent_batch(omega))
-    dist = pair_distances(offsets)
-    h = synth_from_distances(spec, r, dist)
-    beta, cost = _fit(y, h, variant)
-    beta = beta.reshape((-1,) + (1,) * (h.ndim - 1))
-    # d cost = Re sum conj(z) dh with z = -(2/N) conj(beta) (y - beta h); beta
-    # is the optimum of its variant, so its own variation drops out
-    zh = (-2.0 / y.size) * beta * np.conj(y - beta * h) * h
-    # h = (D / d) exp(j kappa f d): the weight of each pair distance, and of
-    # log D through the amplitude
-    kappa = -2.0 * np.pi / spec.wavelength
-    g = np.sum((zh * (-1.0 / dist[..., None] + 1j * kappa * frequency_factors(spec))).real,
-               axis=-1)
-    amp = np.sum(zh.real, axis=tuple(range(1, h.ndim)))
-    # sum over transmit antennas of g u, u = offset / d the unit pair vector
-    gu = np.einsum("sxyabi,sxyab->sxyi", offsets, g / dist)
-    grad = np.empty_like(params)
-    grad[:, :3] = gu.sum(axis=(1, 2)) + (amp / np.sum(r * r, axis=1))[:, None] * r
-    # d cost / dR = M = sum g u p_rx^T over pairs, p_rx in the array frame
-    M = np.einsum("sxyi,xyj->sij", gu, rx_local_grid(spec))
-    dR = base_rotations[:, None] @ rotation_jacobian_batch(omega)
-    grad[:, 3:] = np.sum(dR * M[:, None], axis=(2, 3))
-    return cost, grad
+    return _cost_pass(np.asarray(y, dtype=complex), spec, params, base_rotations, variant,
+                      _workspace(spec, len(params)))
 
 
 def cost_and_grad(y, spec: ArraySpec, params, base_rotations, variant: str):
@@ -203,13 +222,9 @@ def cost_and_grad(y, spec: ArraySpec, params, base_rotations, variant: str):
     Starts are evaluated in blocks of about GRAD_BLOCK_ENTRIES channel
     entries; each start's numbers do not depend on the block it lands in.
     """
-    y = np.asarray(y, dtype=complex)
-    cost = np.empty(len(params))
     grad = np.empty_like(params)
-    for part in _blocks(spec, len(params)):
-        cost[part], grad[part] = _cost_and_grad_block(
-            y, spec, params[part], base_rotations[part], variant)
-    return cost, grad
+    return _cost_pass(np.asarray(y, dtype=complex), spec, params, base_rotations, variant,
+                      _workspace(spec, len(params)), grad), grad
 
 
 # a start whose numbers overflow or turn NaN is frozen and marked diverged
@@ -240,10 +255,13 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
     v = np.zeros_like(params)
     costs = np.empty((config.iterations + 1, S))
     frozen = np.zeros(S, dtype=bool)
+    # one workspace for every block of every pass of this run
+    work = _workspace(spec, S)
+    grad = np.empty_like(params)
 
     for t in range(1, config.iterations + 1):
-        costs[t - 1], grad = cost_and_grad(y, spec, params, base_rotations,
-                                            config.cost_variant)
+        costs[t - 1] = _cost_pass(y, spec, params, base_rotations, config.cost_variant,
+                                  work, grad)
         frozen |= ~np.isfinite(costs[t - 1]) | ~np.all(np.isfinite(grad), axis=1)
         grad[frozen] = 0.0
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
@@ -253,7 +271,8 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
         update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         update[frozen] = 0.0
         params -= update
-    final = costs[-1] = batched_cost(y, spec, params, base_rotations, config.cost_variant)
+    final = costs[-1] = _cost_pass(y, spec, params, base_rotations, config.cost_variant,
+                                   work)
     frozen |= ~np.isfinite(final)
     grad_norm = np.where(frozen, np.nan, np.linalg.norm(grad, axis=1))
 
@@ -261,7 +280,7 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
     trajectories = []
     for s in range(S):
         pose = None
-        if np.all(np.isfinite(params[s])) and np.linalg.norm(params[s, :3]) > 0:
+        if np.all(np.isfinite(params[s])) and 0.0 < np.linalg.norm(params[s, :3]) < np.inf:
             pose = GeometryPose(r=params[s, :3], R=rotations[s])
         costs_db = 10.0 * np.log10(np.maximum(costs[:, s], _DB_FLOOR))
         trajectories.append(Trajectory(

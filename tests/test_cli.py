@@ -277,9 +277,17 @@ BOUNDARY_CASES = [
     (["mse", "--preset", "fig5a"], "amplitude_mode = bogus\n", "amplitude_mode must be"),
     (["mse", "--preset", "fig5a"], "snr_grid = nan\n", "snr values must be finite"),
     (["mle", "--preset", "fig3a", "--starts", "0"], None, "num_starts must be >= 1"),
+    (["synth", "--preset", "ula8-single"], "pose_r = nan 0 10\n", "translation must be"),
+    (["synth", "--preset", "ula8-single"], "pose_euler = nan 0 0\n", "finite orthonormal"),
+    (["synth", "--preset", "ula8-single"], "pose = random\nshell_max = inf\n", "rmax < inf"),
+    (["landscape"], "fc = 0\n", "fc must be finite and > 0"),
+    (["landscape"], "fc = nan\n", "fc must be finite and > 0"),
+    (["landscape"], "d_true = nan\n", "translation must be"),
 ]
 
 
+# a stray numpy warning on the way to the error fails the case
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, config, message", BOUNDARY_CASES)
 def test_bad_setting_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:

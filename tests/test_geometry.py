@@ -414,12 +414,41 @@ def test_spec_validation():
         ArraySpec(fc=0.0)
     with pytest.raises(ValueError):
         ArraySpec(df=-1e-4)
+    # NaN and infinity fail every check, and a singleton's spacing is not negative
+    for bad in (dict(fc=np.nan), dict(fc=np.inf), dict(df=np.nan), dict(df=np.inf),
+                dict(ntx=2, dtx=np.nan), dict(ntx=2, dtx=np.inf), dict(dry=np.nan),
+                dict(dty=-0.1)):
+        with pytest.raises(ValueError):
+            ArraySpec(**bad)
+    # half_wavelength checks the carrier before it divides by it
+    for fc in (0.0, -30e9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="fc must be finite and > 0"):
+            ArraySpec.half_wavelength(ntx=4, fc=fc)
     spec = ArraySpec.half_wavelength(ntx=4, nty=2, nrx=3, nf=2)
     assert spec.shape == (3, 1, 4, 2, 2)
     assert spec.size == 48
     assert spec.tx_topology == "planar" and spec.rx_topology == "linear"
     assert spec.tx_aperture == pytest.approx(
         np.hypot(3 * spec.dtx, 1 * spec.dty))
+
+
+# a stray numpy warning on the way to the error fails the case
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r, angles", [
+    ([np.nan, 0.0, 10.0], (0.0, 0.0, 0.0)),
+    ([0.0, np.inf, 10.0], (0.0, 0.0, 0.0)),
+    ([0.0, 0.0, 10.0], (np.nan, 0.0, 0.0)),
+    ([0.0, 0.0, 10.0], (0.0, 0.0, np.nan)),
+])
+def test_pose_rejects_non_finite(r, angles):
+    with pytest.raises(ValueError, match="finite"):
+        GeometryPose.from_euler(r, *angles)
+
+
+@pytest.mark.parametrize("rmin, rmax", [(5.0, np.inf), (5.0, np.nan), (np.nan, 15.0)])
+def test_sample_pose_needs_a_finite_shell(rmin, rmax):
+    with pytest.raises(ValueError, match="rmax < inf"):
+        sample_pose(np.random.default_rng(0), rmin, rmax)
 
 
 def test_pose_validation():

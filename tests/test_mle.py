@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearwave import mle
-from nearwave.geometry import ArraySpec, GeometryPose, rotation_from_euler, sample_pose, synth
+from nearwave.geometry import (
+    ArraySpec,
+    GeometryPose,
+    rotation_from_euler,
+    rotation_from_tangent_batch,
+    sample_pose,
+    synth,
+    synth_batch,
+)
 from nearwave.mle import (
     COST_VARIANTS,
     MleConfig,
@@ -186,6 +194,21 @@ def test_batched_cost_memory_does_not_grow_with_starts():
     assert traced_peak(512) - traced_peak(128) < 16 * spec.size
 
 
+@pytest.mark.parametrize("variant", COST_VARIANTS)
+def test_cost_pass_equals_synthesis_then_fit(monkeypatch, variant):
+    # blocks of two starts, so five starts leave a partial last block
+    monkeypatch.setattr(mle, "GRAD_BLOCK_ENTRIES", 2 * SPEC.size)
+    rng = np.random.default_rng(22)
+    y = add_noise(synth(SPEC, TRUTH), 10.0, rng)
+    params, base = random_starts(5, rng)
+    params[:, 3:] = rng.normal(scale=0.1, size=(5, 3))
+    # oracle: the two-step path, a batched synthesis and then the fit
+    R = base @ rotation_from_tangent_batch(params[:, 3:])
+    expected = mle._fit(y, synth_batch(SPEC, params[:, :3], R), variant)[1]
+    assert np.array_equal(batched_cost(y, SPEC, params, base, variant), expected)
+    assert np.array_equal(cost_and_grad(y, SPEC, params, base, variant)[0], expected)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -222,6 +245,24 @@ def test_optimize_batch_equals_loop(monkeypatch, variant):
         assert np.array_equal(together.final_pose.r, alone.final_pose.r)
         assert np.array_equal(together.final_pose.R, alone.final_pose.R)
         assert together.final_grad_norm == alone.final_grad_norm
+
+
+def test_optimize_keeps_no_buffer():
+    spec = SPEC_PRESETS["ula32-ula32"]
+    y = synth(spec, TRUTH)
+    config = MleConfig(num_starts=4, iterations=2)
+    optimize(y, spec, config, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = optimize(y, spec, config, np.random.default_rng(0))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result[1]) == 4
+    # the returned poses and cost histories stay; the workspace of four starts
+    # (10 reals per channel entry and start, 320 KB) must not
+    assert kept < 16 * spec.size
 
 
 def test_optimize_descends_from_near_truth_noiseless():
