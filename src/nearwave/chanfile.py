@@ -22,8 +22,8 @@ def sidecar_path(path) -> str:
     return f"{path}.meta"
 
 
-def write_channel(path, values: np.ndarray, metadata: dict | None = None) -> None:
-    """Write a 5-axis complex tensor plus its metadata sidecar."""
+def write_channel(path, values: np.ndarray) -> None:
+    """Write a 5-axis complex tensor; its sidecar is written by ``write_metadata``."""
     values = np.asarray(values, dtype=complex)
     if values.ndim != 5:
         raise ValueError("expected a 5-axis channel tensor")
@@ -31,8 +31,6 @@ def write_channel(path, values: np.ndarray, metadata: dict | None = None) -> Non
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(values.astype(ENTRY_DTYPE).tobytes())
-    if metadata is not None:
-        write_metadata(sidecar_path(path), metadata)
 
 
 def read_channel(path) -> np.ndarray:

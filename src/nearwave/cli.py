@@ -134,7 +134,7 @@ def _cmd_estimate(args) -> tuple[str, dict]:
     rows = [[*map(int, m), f"{a:.12g}"] for m, a in zip(model.degrees, model.coeffs)]
     sim.write_csv(path, header, rows)
     return path, dict(input=args.input, degree=args.degree,
-                      reconstruction_mse_db=f"{10 * np.log10(max(recon_mse, 1e-300)):.3f}")
+                      reconstruction_mse_db=f"{mle.to_db(recon_mse):.3f}")
 
 
 def _cmd_mse(args) -> tuple[str, dict]:

@@ -211,6 +211,8 @@ def rotation_from_tangent_batch(omega: np.ndarray) -> np.ndarray:
 
 def rotation_from_euler(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
     """Rotation composed as Rz(phi_z) @ Ry(phi_y) @ Rx(phi_x), each factor expm(skew(phi e_i))."""
+    if not np.all(np.isfinite((phi_x, phi_y, phi_z))):
+        raise ValueError("non-finite Euler angle: R is not a finite orthonormal matrix")
     Rx, Ry, Rz = rotation_from_tangent_batch(np.diag([phi_x, phi_y, phi_z]))
     return Rz @ Ry @ Rx
 
@@ -224,11 +226,10 @@ def rotation_jacobian_batch(omega: np.ndarray) -> np.ndarray:
     (J. Math. Imaging Vis., 2015) with (I - R) e_i expanded in K. At
     w = 0 it is exactly skew(e_i).
     """
-    w = np.asarray(omega, dtype=float)
-    K, K2, _, b, c = _rodrigues_terms(w)
+    K, K2, a, b, c = _rodrigues_terms(np.asarray(omega, dtype=float))
     J = np.eye(3)[None] + b * K + c * K2
     # skew of each column of J: [s, i] = skew(J[s, :, i])
-    return skew(np.swapaxes(J, 1, 2)) @ rotation_from_tangent_batch(w)[:, None]
+    return skew(np.swapaxes(J, 1, 2)) @ (np.eye(3)[None] + a * K + b * K2)[:, None]
 
 
 def rotation_log(R: np.ndarray) -> np.ndarray:
@@ -273,12 +274,16 @@ def sample_pose(rng: np.random.Generator, rmin: float = 5.0, rmax: float = 15.0,
 
     ``measure`` selects the radial law: "volume" draws uniformly over the
     shell volume (inverse CDF on the cubed radius), "radius" draws the
-    radius uniformly on [rmin, rmax].
+    radius uniformly on [rmin, rmax]. Under either, rmax**3 must be finite.
     """
     if not 0.0 < rmin < rmax < math.inf:
         raise ValueError("need 0 < rmin < rmax < inf")
+    try:
+        cubes = rmin**3, rmax**3
+    except OverflowError:
+        raise ValueError("need rmax**3 < inf") from None
     if measure == "volume":
-        radius = rng.uniform(rmin**3, rmax**3) ** (1.0 / 3.0)
+        radius = rng.uniform(*cubes) ** (1.0 / 3.0)
     elif measure == "radius":
         radius = rng.uniform(rmin, rmax)
     else:

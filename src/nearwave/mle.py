@@ -25,7 +25,7 @@ from .geometry import (
     rotation_from_tangent_batch,
     rotation_jacobian_batch,
     rx_local_grid,
-    sample_pose,
+    sample_pose,  # re-exported: the benchmark's layer table wraps mle.sample_pose
     synth,
     synth_batch,
     synth_from_distances,
@@ -42,7 +42,10 @@ ADAM_EPS = 1e-8
 # block of a run, so its arrays are a few MB for any start count
 GRAD_BLOCK_ENTRIES = 32768
 
-_DB_FLOOR = 1e-30  # linear cost floor so dB trajectories stay finite
+
+def to_db(power):
+    """10 log10(power), with ``power`` floored at 1e-30 (-300 dB); NaN stays NaN."""
+    return 10.0 * np.log10(np.maximum(power, 1e-30))
 
 
 @dataclass(frozen=True)
@@ -71,15 +74,14 @@ class Trajectory:
     """Cost history of one optimizer start.
 
     ``costs_db`` has length iterations + 1 (the initial cost is included).
-    ``label`` and ``converged`` are set by the caller, the latter relative to
-    the genie proxy; ``diverged`` marks a non-finite cost or gradient
-    encountered during the run. ``final_grad_norm`` is the norm of the
-    (r, omega) gradient of the last update, NaN for a diverged start.
+    ``converged`` is set by the caller, relative to the genie proxy;
+    ``diverged`` marks a non-finite cost or gradient encountered during the
+    run. ``final_grad_norm`` is the norm of the (r, omega) gradient of the
+    last update, NaN for a diverged start.
     """
 
     costs_db: np.ndarray
     final_pose: GeometryPose | None
-    label: str = "random"
     converged: bool = False
     diverged: bool = False
     final_cost: float = field(default=float("nan"))
@@ -229,27 +231,20 @@ def cost_and_grad(y, spec: ArraySpec, params, base_rotations, variant: str):
 
 # a start whose numbers overflow or turn NaN is frozen and marked diverged
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
-             init_poses=None):
-    """Multi-start adaptive-moment descent over (r, omega).
+def optimize(y, spec: ArraySpec, config: MleConfig, init_poses):
+    """Multi-start adaptive-moment descent over (r, omega) from ``init_poses``.
 
-    Starts are drawn from the configured shell (volume-uniform translation,
-    Haar rotation) unless ``init_poses`` is given. All starts advance in one
-    batched loop; each iteration takes the costs and their closed-form
-    gradients in one pass. A start whose cost or gradient turns non-finite
-    is frozen and marked diverged. Returns (best final pose, list of
-    Trajectory), where the best is the non-diverged start with the lowest
-    final cost; raises DivergedError when every start diverged.
+    All starts advance in one batched loop; each iteration takes the costs
+    and their closed-form gradients in one pass. A start whose cost or
+    gradient turns non-finite is frozen and marked diverged. Returns (best
+    final pose, list of Trajectory), where the best is the non-diverged start
+    with the lowest final cost; raises DivergedError when every start diverged.
     """
     y = np.asarray(y, dtype=complex)
-    if init_poses is None:
-        init_poses = [sample_pose(rng, *config.init_shell)
-                      for _ in range(config.num_starts)]
-    poses = list(init_poses)
-    S = len(poses)
+    S = len(init_poses)
     params = np.zeros((S, 6))
-    params[:, :3] = [p.r for p in poses]
-    base_rotations = np.stack([p.R for p in poses])
+    params[:, :3] = [p.r for p in init_poses]
+    base_rotations = np.stack([p.R for p in init_poses])
 
     m = np.zeros_like(params)
     v = np.zeros_like(params)
@@ -282,9 +277,8 @@ def optimize(y, spec: ArraySpec, config: MleConfig, rng: np.random.Generator,
         pose = None
         if np.all(np.isfinite(params[s])) and 0.0 < np.linalg.norm(params[s, :3]) < np.inf:
             pose = GeometryPose(r=params[s, :3], R=rotations[s])
-        costs_db = 10.0 * np.log10(np.maximum(costs[:, s], _DB_FLOOR))
         trajectories.append(Trajectory(
-            costs_db=costs_db,
+            costs_db=to_db(costs[:, s]),
             final_pose=pose,
             diverged=bool(frozen[s]),
             final_cost=float(final[s]),

@@ -196,13 +196,12 @@ def reconstruct(model: PolyPhaseModel) -> np.ndarray:
     return approx_channel(model)
 
 
-def expand_to_lattice(model: PolyPhaseModel, coords, full_shape,
-                      degrees=None) -> PolyPhaseModel:
+def expand_to_lattice(model: PolyPhaseModel, coords, full_shape, degrees) -> PolyPhaseModel:
     """Re-express a sublattice fit in the coordinates of the full lattice.
 
     ``coords`` gives, per axis, the full-lattice index of each sublattice
-    sample; ``degrees`` selects the target basis (the model's own degrees by
-    default). The fitted polynomial is evaluated on a determining subgrid
+    sample; ``degrees`` (a DegreeSet or multi-index rows) selects the target
+    basis. The fitted polynomial is evaluated on a determining subgrid
     and re-solved against the full-lattice basis there, which is exact
     whenever the fitted values come from a polynomial in the target span.
     """
@@ -216,7 +215,7 @@ def expand_to_lattice(model: PolyPhaseModel, coords, full_shape,
             raise ValueError("coords must match the sublattice shape")
         if np.any(c < 0) or np.any(c >= n_full):
             raise ValueError("coords out of range of the full lattice")
-    rows = model.degrees if degrees is None else _degree_rows(degrees)
+    rows = _degree_rows(degrees)
     m_max = np.maximum(rows.max(axis=0), model.degrees.max(axis=0))
     if np.any(m_max + 1 > np.asarray(model.shape)):
         raise ValueError("sublattice too small to determine the full-lattice basis")

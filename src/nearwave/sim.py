@@ -118,7 +118,6 @@ class ExperimentConfig:
 class ExperimentReport:
     """Per-SNR MSE statistics with CRB asymptotes and the LS reference."""
 
-    config: ExperimentConfig
     snr_db: np.ndarray
     degree_list: tuple[int, ...]
     mse_db: np.ndarray  # (n_snr, n_degrees)
@@ -180,15 +179,14 @@ def run_mse_sweep(config: ExperimentConfig) -> ExperimentReport:
                 model = ppe.estimate(y, ds)
                 mse[cell + (j,)] = _row_mse(ppe.reconstruct(model), truth, len(spec.shape))
 
-    mse_db = 10.0 * np.log10(np.mean(mse, axis=0))
-    ls_db = 10.0 * np.log10(np.mean(ls, axis=0))
+    mse_db = mle.to_db(np.mean(mse, axis=0))
+    ls_db = mle.to_db(np.mean(ls, axis=0))
     crb_db = np.empty((n_snr, n_deg))
     for j, ds in enumerate(degree_sets):
         for i, snr in enumerate(config.snr_grid):
             crb_db[i, j] = crb_asymptote(len(ds), spec.size, snr)
 
     report = ExperimentReport(
-        config=config,
         snr_db=np.asarray(config.snr_grid, dtype=float),
         degree_list=config.degree_list,
         mse_db=mse_db,
@@ -250,18 +248,14 @@ def estimate_from_pilots(y: np.ndarray, max_degree: int):
     """
     sub, coords = pilot_subsample(y, max_degree)
     model_sub = ppe.estimate(sub, product_degree_set(max_degree, sub.shape))
-    ds_full = degree_set_for_shape(max_degree, y.shape)
-    return ppe.expand_to_lattice(model_sub, coords, y.shape, degrees=ds_full)
+    return ppe.expand_to_lattice(model_sub, coords, y.shape,
+                                 degree_set_for_shape(max_degree, y.shape))
 
 
 @dataclass
 class TrajectoryExperiment:
     """Multi-start descent curves plus the genie proxy for one observation."""
 
-    spec: ArraySpec
-    config: mle.MleConfig
-    snr_db: float
-    seed: int
     proxy: mle.Trajectory
     starts: list[mle.Trajectory]
 
@@ -292,13 +286,9 @@ def run_trajectory_experiment(spec: ArraySpec, config: mle.MleConfig,
     y = add_noise(synth(spec, pose), snr_db, rng)
     inits = [sample_pose(rng, *config.init_shell) for _ in range(config.num_starts)]
     inits.append(pose)
-    _, trajectories = mle.optimize(y, spec, config, rng, init_poses=inits)
-    proxy = trajectories[-1]
-    starts = trajectories[:-1]
+    *starts, proxy = mle.optimize(y, spec, config, inits)[1]
     for tr in starts:
         tr.converged = bool(tr.costs_db[-1] <= proxy.costs_db[-1] + 1.0)
-    proxy.label = "genie"
     proxy.converged = True
-    return TrajectoryExperiment(spec=spec, config=config, snr_db=snr_db, seed=seed,
-                                proxy=proxy, starts=starts)
+    return TrajectoryExperiment(proxy=proxy, starts=starts)
 

@@ -121,7 +121,6 @@ class DegreeSet:
     frequency axis and carries degree at most 1; singleton axes carry 0.
     """
 
-    max_degree: int
     shape: tuple[int, ...]
     degrees: np.ndarray
     spatial_cardinality: int
@@ -147,10 +146,10 @@ def term_order(m) -> tuple:
     return (sum(m), tuple(m))
 
 
-def _degree_set(max_degree: int, shape: tuple[int, ...], degrees) -> DegreeSet:
+def _degree_set(shape: tuple[int, ...], degrees) -> DegreeSet:
     """DegreeSet of ``degrees`` in canonical order, see ``term_order``."""
     ordered = np.array(sorted(degrees, key=term_order, reverse=True), dtype=int)
-    return DegreeSet(max_degree=max_degree, shape=shape, degrees=ordered,
+    return DegreeSet(shape=shape, degrees=ordered,
                      spatial_cardinality=len({m[:-1] for m in degrees}))
 
 
@@ -171,8 +170,7 @@ def degree_set_for_shape(max_degree: int, shape) -> DegreeSet:
     ranges = [range(max_degree + 1) if n > 1 else range(1) for n in spatial]
     spatial_degrees = [m for m in product(*ranges) if sum(m) <= max_degree]
     freq_range = range(2) if shape[-1] > 1 else range(1)
-    return _degree_set(max_degree, shape,
-                       [m + (mf,) for m in spatial_degrees for mf in freq_range])
+    return _degree_set(shape, [m + (mf,) for m in spatial_degrees for mf in freq_range])
 
 
 def build_degree_set(max_degree: int, spec: ArraySpec) -> DegreeSet:
@@ -192,7 +190,7 @@ def product_degree_set(max_degree: int, shape) -> DegreeSet:
     shape = _checked_shape(max_degree, shape)
     caps = [min(max_degree, n - 1) for n in shape[:-1]]
     caps.append(min(1, shape[-1] - 1))
-    return _degree_set(max_degree, shape, list(product(*[range(c + 1) for c in caps])))
+    return _degree_set(shape, list(product(*[range(c + 1) for c in caps])))
 
 
 def basis_at(coords, m) -> np.ndarray:
@@ -349,6 +347,6 @@ def truncation_dominant_term(order: int, distance: float, wavelength: float,
 def fraunhofer_distance(tx_aperture: float, rx_aperture: float,
                         wavelength: float) -> float:
     """Conventional near/far-field boundary 2 (L_t + L_r)^2 / wavelength."""
-    if tx_aperture < 0 or rx_aperture < 0 or wavelength <= 0:
+    if not (tx_aperture >= 0 and rx_aperture >= 0 and wavelength > 0):  # NaN fails too
         raise ValueError("apertures must be >= 0 and wavelength > 0")
     return 2.0 * (tx_aperture + rx_aperture) ** 2 / wavelength

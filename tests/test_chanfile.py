@@ -20,7 +20,8 @@ def test_round_trip_preserves_values(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(2, 1, 3, 2, 2)) + 1j * rng.normal(size=(2, 1, 3, 2, 2))
     path = tmp_path / "h.bin"
-    write_channel(path, values, metadata={"seed": 7, "note": "test"})
+    write_channel(path, values)
+    write_metadata(sidecar_path(path), {"seed": 7, "note": "test"})
     back = read_channel(path)
     assert back.shape == values.shape
     assert np.array_equal(back, values)
@@ -113,7 +114,8 @@ values = st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=12).fi
 def test_round_trip_property(values, metadata):
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "h.bin")
-        write_channel(path, values, metadata=metadata)
+        write_channel(path, values)
+        write_metadata(sidecar_path(path), metadata)
         back = read_channel(path)
         assert back.shape == values.shape
         assert back.tobytes() == values.tobytes()  # NaN payloads, signed zeros, infinities

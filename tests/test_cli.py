@@ -56,6 +56,14 @@ def test_estimate_round_trip(tmp_path, capsys):
     assert float(meta["reconstruction_mse_db"]) < -100.0
 
 
+def test_estimate_exact_fit_reports_the_db_floor(tmp_path):
+    path = tmp_path / "ones.bin"
+    chanfile.write_channel(path, np.ones((1, 1, 8, 1, 1), dtype=complex))
+    assert main(["estimate", "--input", str(path), "--degree", "1", "--out", str(tmp_path)]) == 0
+    meta = chanfile.read_metadata(tmp_path / "coefficients.csv.meta")
+    assert meta["reconstruction_mse_db"] == "-300.000"
+
+
 def test_estimate_requires_input(tmp_path, capsys):
     assert main(["estimate", "--out", str(tmp_path)]) == 2
 
@@ -283,6 +291,10 @@ BOUNDARY_CASES = [
     (["landscape"], "fc = 0\n", "fc must be finite and > 0"),
     (["landscape"], "fc = nan\n", "fc must be finite and > 0"),
     (["landscape"], "d_true = nan\n", "translation must be"),
+    (["mse", "--preset", "fig5a"], "shell = 1e200 1e201\n", "rmax**3 < inf"),
+    (["synth", "--preset", "ula8-single"], "pose = random\nshell_max = 1e200\n",
+     "rmax**3 < inf"),
+    (["synth", "--preset", "ula8-single"], "pose_euler = inf 0 0\n", "non-finite Euler angle"),
 ]
 
 

@@ -185,6 +185,9 @@ def test_alt_positions_identity_angles():
     tx, rx = antenna_positions_alt(spec, 10.0, (0, 0, 0), (0, 0, 0))
     assert np.allclose(rx.reshape(-1, 3).mean(axis=0), [0, 0, 10.0], atol=1e-12)
     assert np.allclose(tx, tx_positions(spec))
+    for distance in (0.0, -10.0):
+        with pytest.raises(ValueError, match="distance must be > 0"):
+            antenna_positions_alt(spec, distance, (0, 0, 0), (0, 0, 0))
 
 
 def _distance_set(tx, rx):
@@ -428,6 +431,7 @@ def test_spec_validation():
     assert spec.shape == (3, 1, 4, 2, 2)
     assert spec.size == 48
     assert spec.tx_topology == "planar" and spec.rx_topology == "linear"
+    assert ArraySpec().tx_topology == "single"
     assert spec.tx_aperture == pytest.approx(
         np.hypot(3 * spec.dtx, 1 * spec.dty))
 
@@ -439,6 +443,7 @@ def test_spec_validation():
     ([0.0, np.inf, 10.0], (0.0, 0.0, 0.0)),
     ([0.0, 0.0, 10.0], (np.nan, 0.0, 0.0)),
     ([0.0, 0.0, 10.0], (0.0, 0.0, np.nan)),
+    ([0.0, 0.0, 10.0], (np.inf, 0.0, 0.0)),
 ])
 def test_pose_rejects_non_finite(r, angles):
     with pytest.raises(ValueError, match="finite"):
@@ -449,6 +454,17 @@ def test_pose_rejects_non_finite(r, angles):
 def test_sample_pose_needs_a_finite_shell(rmin, rmax):
     with pytest.raises(ValueError, match="rmax < inf"):
         sample_pose(np.random.default_rng(0), rmin, rmax)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_pose_needs_a_finite_cubed_radius():
+    for measure in ("volume", "radius"):
+        with pytest.raises(ValueError, match=r"rmax\*\*3 < inf"):
+            sample_pose(np.random.default_rng(0), 1e200, 1e201, measure)
+    # a shell whose cube is finite keeps its draws, however large
+    pose = sample_pose(np.random.default_rng(0), 1.0, 5e102)
+    assert pose.distance == pytest.approx(
+        np.random.default_rng(0).uniform(1.0, 5e102**3) ** (1.0 / 3.0), rel=1e-15)
 
 
 def test_pose_validation():

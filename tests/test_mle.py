@@ -37,6 +37,11 @@ TRUTH = GeometryPose(r=np.array([0.2, -0.4, 9.0]), R=np.eye(3))
 FD_STEP = 1e-6  # relative central-difference step of the gradient oracle
 
 
+def draw_starts(rng, config):
+    """``config.num_starts`` random starts from the configured shell."""
+    return [sample_pose(rng, *config.init_shell) for _ in range(config.num_starts)]
+
+
 def fd_gradient(y, spec, params, base_rotations, variant):
     """Central finite differences of batched_cost over (r, omega), shape (S, 6)."""
     grad = np.zeros_like(params)
@@ -223,7 +228,7 @@ def test_optimize_noiseless_near_genie_start_descends(variant):
                          R=rotation_from_euler(0.01, -0.02, 0.01))
     config = MleConfig(cost_variant=variant, num_starts=1, iterations=300,
                        learning_rate=1e-3)
-    _, (traj,) = optimize(y, spec, config, np.random.default_rng(0), init_poses=[start])
+    _, (traj,) = optimize(y, spec, config, [start])
     assert traj.costs_db[-1] < traj.costs_db[0]
     assert traj.costs_db[-1] < -60.0
     assert traj.final_grad_norm < 1e-3
@@ -238,9 +243,9 @@ def test_optimize_batch_equals_loop(monkeypatch, variant):
     y = add_noise(synth(SPEC, TRUTH), 10.0, rng)
     inits = [sample_pose(rng) for _ in range(5)]
     config = MleConfig(cost_variant=variant, num_starts=5, iterations=20)
-    _, batch = optimize(y, SPEC, config, rng, init_poses=inits)
+    _, batch = optimize(y, SPEC, config, inits)
     for pose, together in zip(inits, batch):
-        _, (alone,) = optimize(y, SPEC, config, rng, init_poses=[pose])
+        _, (alone,) = optimize(y, SPEC, config, [pose])
         assert np.array_equal(together.costs_db, alone.costs_db)
         assert np.array_equal(together.final_pose.r, alone.final_pose.r)
         assert np.array_equal(together.final_pose.R, alone.final_pose.R)
@@ -251,11 +256,12 @@ def test_optimize_keeps_no_buffer():
     spec = SPEC_PRESETS["ula32-ula32"]
     y = synth(spec, TRUTH)
     config = MleConfig(num_starts=4, iterations=2)
-    optimize(y, spec, config, np.random.default_rng(0))
+    inits = draw_starts(np.random.default_rng(0), config)
+    optimize(y, spec, config, inits)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = optimize(y, spec, config, np.random.default_rng(0))
+        result = optimize(y, spec, config, inits)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -271,7 +277,7 @@ def test_optimize_descends_from_near_truth_noiseless():
     y = synth(spec, truth)
     start = GeometryPose(r=truth.r + np.array([0.02, -0.01, 0.03]), R=truth.R)
     config = MleConfig(num_starts=1)
-    best, trajs = optimize(y, spec, config, np.random.default_rng(0), init_poses=[start])
+    best, trajs = optimize(y, spec, config, [start])
     initial = 10 ** (trajs[0].costs_db[0] / 10)
     assert trajs[0].final_cost < initial
     assert trajs[0].final_cost < 1e-6
@@ -285,7 +291,7 @@ def test_optimize_deterministic_given_seed():
     config = MleConfig(num_starts=4, iterations=50)
     runs = []
     for _ in range(2):
-        _, trajs = optimize(y, spec, config, np.random.default_rng(42))
+        _, trajs = optimize(y, spec, config, draw_starts(np.random.default_rng(42), config))
         runs.append(np.stack([t.costs_db for t in trajs]))
     assert np.array_equal(runs[0], runs[1])
 
@@ -298,7 +304,7 @@ def test_optimize_genie_median_cost_non_increasing():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         y = add_noise(synth(spec, truth), 10.0, rng)
-        _, trajs = optimize(y, spec, config, rng, init_poses=[truth])
+        _, trajs = optimize(y, spec, config, [truth])
         curves.append(trajs[0].costs_db)
     median = np.median(np.stack(curves), axis=0)
     assert median[-1] <= median[0]
@@ -311,9 +317,9 @@ def test_optimize_multistart_reaches_genie_small_case():
     rng = np.random.default_rng(4)
     y = add_noise(synth(spec, truth), 10.0, rng)
     config = MleConfig(num_starts=64, iterations=300)
-    inits = [sample_pose(rng, *config.init_shell) for _ in range(config.num_starts)]
-    _, random_trajs = optimize(y, spec, config, rng, init_poses=inits)
-    _, genie_trajs = optimize(y, spec, config, rng, init_poses=[truth])
+    inits = draw_starts(rng, config)
+    _, random_trajs = optimize(y, spec, config, inits)
+    _, genie_trajs = optimize(y, spec, config, [truth])
     best_db = min(t.costs_db[-1] for t in random_trajs)
     genie_db = genie_trajs[0].costs_db[-1]
     assert best_db <= genie_db + 1.0
@@ -363,7 +369,7 @@ def test_trajectory_csv_format(tmp_path):
     rng = np.random.default_rng(5)
     y = add_noise(synth(spec, truth), 10.0, rng)
     config = MleConfig(num_starts=3, iterations=10)
-    _, trajs = optimize(y, spec, config, rng)
+    _, trajs = optimize(y, spec, config, draw_starts(rng, config))
     path = tmp_path / "trajectories.csv"
     write_trajectory_csv(path, trajs[:-1], trajs[-1])
     lines = path.read_text().strip().splitlines()
@@ -376,6 +382,9 @@ def test_trajectory_csv_format(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         MleConfig(cost_variant="nope")
+    params, base = random_starts(1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="unknown cost variant"):
+        batched_cost(synth(SPEC, TRUTH), SPEC, params, base, "nope")
     for rate in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             MleConfig(learning_rate=rate)

@@ -327,7 +327,7 @@ def test_reconstruct_extrapolates_from_pilot_fit():
     clean = approx_channel(truth)
     pilots = np.array([0, 16, 31])
     sub = estimate(clean[pilots], np.array([[2], [1], [0]]))
-    expanded = expand_to_lattice(sub, (pilots,), (full,))
+    expanded = expand_to_lattice(sub, (pilots,), (full,), sub.degrees)
     assert np.max(np.abs(approx_channel(expanded) - clean)) < 1e-9
 
 
@@ -340,7 +340,7 @@ def test_expand_to_lattice_matches_full_fit():
     coords = (np.arange(1), np.arange(1), np.array([0, 4, 8]), np.arange(1), np.arange(1))
     sub = y[np.ix_(*coords)]
     model_sub = estimate(sub, degree_set_for_shape(L, sub.shape))
-    expanded = expand_to_lattice(model_sub, coords, shape)
+    expanded = expand_to_lattice(model_sub, coords, shape, model_sub.degrees)
     for m, a in truth.as_dict().items():
         assert expanded.coefficient(m) == pytest.approx(a, abs=1e-9)
 
@@ -534,7 +534,7 @@ def test_estimate_checks_apply_to_the_lattice_axes():
 def test_expand_to_lattice_rejects_batched_model():
     model = estimate(np.ones((2, 3), dtype=complex), np.array([[1], [0]]))
     with pytest.raises(ValueError, match=r"batch shape \(2,\)"):
-        expand_to_lattice(model, (np.array([0, 2, 4]),), (5,))
+        expand_to_lattice(model, (np.array([0, 2, 4]),), (5,), model.degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,17 @@ def test_run_mse_sweep_memory_does_not_grow_with_snrs(monkeypatch):
     assert traced_peak(8) - traced_peak(1) < 16 * spec.size
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_mse_sweep_noiseless_snr_floors_at_minus_300_db():
+    # at 400 dB the noise is below one ulp of the channel: the LS error is 0
+    cfg = ExperimentConfig(spec=ArraySpec.half_wavelength(ntx=8), snr_grid=(10.0, 400.0),
+                           degree_list=(2,), trials=2, seed=0)
+    report = run_mse_sweep(cfg)
+    assert report.ls_db[1] == -300.0
+    assert np.all(np.isfinite(report.mse_db)) and np.all(np.isfinite(report.ls_db))
+    assert report.ls_db[0] > -300.0
+
+
 def test_run_mse_sweep_crb_column():
     spec = ArraySpec.half_wavelength(ntx=8, nf=2, df=5e-4)
     cfg = ExperimentConfig(spec=spec, snr_grid=(20.0,), degree_list=(2,),
@@ -255,7 +266,6 @@ def test_run_trajectory_experiment_output(tmp_path):
     spec = ArraySpec.half_wavelength(ntx=2)
     config = MleConfig(num_starts=4, iterations=20)
     result = run_trajectory_experiment(spec, config, snr_db=10.0, seed=7)
-    assert result.proxy.label == "genie"
     assert len(result.starts) == 4
     assert all(len(t.costs_db) == 21 for t in result.starts)
     frac = result.converged_fraction()

@@ -160,6 +160,23 @@ def test_degree_set_rejects_short_axes():
     assert len(ds) == 1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: legendre(-1, 0.5), "ell must be >= 0"),
+    (lambda: range_factor_taylor(-1, [0.0, 0.0, 1.0], np.zeros(3)), "order must be >= 0"),
+    (lambda: degree_set_for_shape(-1, (1, 1, 4, 1, 1)), "max_degree must be >= 0"),
+    (lambda: degree_set_for_shape(1, (1, 0, 4, 1, 1)), "shape components must be >= 1"),
+    (lambda: truncation_dominant_term(0, 10.0, 0.01, [0, 0, 1.0], [0.01, 0, 0]), "1, 2, or 3"),
+    (lambda: truncation_dominant_term(4, 10.0, 0.01, [0, 0, 1.0], [0.01, 0, 0]), "1, 2, or 3"),
+    (lambda: fraunhofer_distance(-0.1, 0.1, 0.01), "apertures must be >= 0"),
+    (lambda: fraunhofer_distance(0.1, -0.1, 0.01), "apertures must be >= 0"),
+    (lambda: fraunhofer_distance(0.1, 0.1, 0.0), "wavelength > 0"),
+    (lambda: fraunhofer_distance(0.1, 0.1, np.nan), "wavelength > 0"),
+])
+def test_series_and_degree_set_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_build_degree_set_from_spec():
     spec = ArraySpec.half_wavelength(ntx=8, nrx=8)
     ds = build_degree_set(2, spec)
