@@ -28,7 +28,6 @@ from .sim import (
     run_trajectory_experiment,
 )
 from .wavefront import (
-    DegreeSet,
     PolyPhaseModel,
     approx_channel,
     build_degree_set,

@@ -168,9 +168,7 @@ def _cmd_mse(args) -> tuple[str, dict]:
 
 def _cmd_mle(args) -> tuple[str, dict]:
     spec, config = _lookup(presets.TRAJECTORY_PRESETS, args.preset, "trajectory")
-    cfg = _config(args, {**{f.name: getattr(config, f.name)
-                            for f in fields(config) if f.name != "init_shell"},
-                         "snr_db": 10.0})
+    cfg = _config(args, {**asdict(config), "snr_db": 10.0})
     snr_db = cfg.pop("snr_db")
     if args.starts is not None:
         cfg["num_starts"] = args.starts
@@ -178,7 +176,7 @@ def _cmd_mle(args) -> tuple[str, dict]:
 
     path = _out_path(args, "trajectories.csv")
     result = sim.run_trajectory_experiment(spec, config, snr_db=snr_db, seed=args.seed)
-    result.to_csv(path)
+    mle.write_trajectory_csv(path, result.starts, result.proxy)
     norms = [tr.final_grad_norm for tr in result.starts if not tr.diverged]
     median_norm = _median(norms) if norms else float("nan")
     return path, dict(seed=args.seed, snr_db=snr_db, num_starts=config.num_starts,

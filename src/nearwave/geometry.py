@@ -136,7 +136,7 @@ class GeometryPose:
     """Rigid placement of the receive array: translation ``r`` and rotation ``R``.
 
     ``R`` must be orthonormal with determinant +1 (tolerance 1e-12) and
-    ``r`` nonzero and finite.
+    ``r`` of length about 1e-161 to 1e154 m, so that its square is nonzero and finite.
     """
 
     r: np.ndarray
@@ -150,8 +150,10 @@ class GeometryPose:
             raise ValueError("R is not a finite orthonormal matrix")
         if not abs(np.linalg.det(R) - 1.0) <= 1e-12:
             raise ValueError("R must have determinant +1")
-        if not 0.0 < np.linalg.norm(r) < math.inf:
-            raise ValueError("translation must be nonzero and finite")
+        with np.errstate(over="ignore"):
+            length = np.linalg.norm(r)
+        if not 0.0 < length < math.inf:
+            raise ValueError("translation must be nonzero and finite, and so its squared length")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "R", R)
 

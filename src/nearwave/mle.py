@@ -56,7 +56,6 @@ class MleConfig:
     learning_rate: float = 0.01
     iterations: int = 500
     num_starts: int = 128
-    init_shell: tuple[float, float] = (5.0, 15.0)
 
     def __post_init__(self):
         if self.cost_variant not in COST_VARIANTS:

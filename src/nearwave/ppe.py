@@ -21,7 +21,6 @@ from itertools import groupby, takewhile
 import numpy as np
 
 from .wavefront import (
-    DegreeSet,
     PolyPhaseModel,
     approx_channel,
     basis_on_lattice,  # re-exported: callers look it up as ppe.basis_on_lattice
@@ -146,16 +145,10 @@ def _shared_differences(signal: np.ndarray, ms, first_axis: int):
         yield stack[-1]
 
 
-def _degree_rows(degrees) -> np.ndarray:
-    if isinstance(degrees, DegreeSet):
-        return degrees.degrees
-    return np.asarray(degrees, dtype=int)
-
-
 def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     """Estimate polynomial phase coefficients from the phases of ``y`` by sequential peeling.
 
-    ``degrees`` is a DegreeSet or an array of multi-indices; terms are
+    ``degrees`` is a 2-D int array-like of multi-index rows; terms are
     processed in descending total degree (lexicographic tie-break). Each
     coefficient is recovered modulo one cycle of the differenced lattice.
     The lattice is the trailing axes of ``y``, one per multi-index entry;
@@ -164,8 +157,10 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     ``batch + (terms,)``. Every entry of ``y`` needs a finite nonzero modulus.
     """
     y = np.asarray(y, dtype=complex)
-    rows = _degree_rows(degrees)
-    if rows.ndim != 2 or rows.shape[1] > y.ndim:
+    rows = np.asarray(degrees, dtype=int)
+    if rows.ndim != 2:
+        raise ValueError("degrees must be a 2-D array of multi-index rows")
+    if rows.shape[1] > y.ndim:
         raise ValueError("degree multi-indices must not have more axes than the signal")
     batch, lattice = y.shape[:y.ndim - rows.shape[1]], y.shape[y.ndim - rows.shape[1]:]
     if np.any(rows < 0) or np.any(rows >= np.asarray(lattice)):
@@ -200,7 +195,7 @@ def expand_to_lattice(model: PolyPhaseModel, coords, full_shape, degrees) -> Pol
     """Re-express a sublattice fit in the coordinates of the full lattice.
 
     ``coords`` gives, per axis, the full-lattice index of each sublattice
-    sample; ``degrees`` (a DegreeSet or multi-index rows) selects the target
+    sample; ``degrees`` (multi-index rows, any int array-like) selects the target
     basis. The fitted polynomial is evaluated on a determining subgrid
     and re-solved against the full-lattice basis there, which is exact
     whenever the fitted values come from a polynomial in the target span.
@@ -215,7 +210,7 @@ def expand_to_lattice(model: PolyPhaseModel, coords, full_shape, degrees) -> Pol
             raise ValueError("coords must match the sublattice shape")
         if np.any(c < 0) or np.any(c >= n_full):
             raise ValueError("coords out of range of the full lattice")
-    rows = _degree_rows(degrees)
+    rows = np.asarray(degrees, dtype=int)
     m_max = np.maximum(rows.max(axis=0), model.degrees.max(axis=0))
     if np.any(m_max + 1 > np.asarray(model.shape)):
         raise ValueError("sublattice too small to determine the full-lattice basis")

@@ -267,9 +267,6 @@ class TrajectoryExperiment:
         """Fraction of starts whose final cost is within 1 dB of the proxy."""
         return float(np.mean([tr.converged for tr in self.starts]))
 
-    def to_csv(self, path) -> None:
-        mle.write_trajectory_csv(path, self.starts, self.proxy)
-
 
 def run_trajectory_experiment(spec: ArraySpec, config: mle.MleConfig,
                               snr_db: float = 10.0, seed: int = 0,
@@ -284,7 +281,7 @@ def run_trajectory_experiment(spec: ArraySpec, config: mle.MleConfig,
         pose = GeometryPose(r=np.array([0.0, 0.0, 10.0]), R=np.eye(3))
     rng = np.random.default_rng((seed, 0))
     y = add_noise(synth(spec, pose), snr_db, rng)
-    inits = [sample_pose(rng, *config.init_shell) for _ in range(config.num_starts)]
+    inits = [sample_pose(rng) for _ in range(config.num_starts)]
     inits.append(pose)
     *starts, proxy = mle.optimize(y, spec, config, inits)[1]
     for tr in starts:

@@ -112,26 +112,6 @@ def normalized_offset(spec: ArraySpec, pose: GeometryPose, n_t, n_r) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeSet:
-    """Multi-indices of the polynomial phase terms for a given lattice shape.
-
-    ``degrees`` has one row per term, ordered descending by total degree with
-    lexicographically descending tie-break. The last lattice axis is the
-    frequency axis and carries degree at most 1; singleton axes carry 0.
-    """
-
-    shape: tuple[int, ...]
-    degrees: np.ndarray
-    spatial_cardinality: int
-
-    def __len__(self) -> int:
-        return self.degrees.shape[0]
-
-    def __iter__(self):
-        return iter(tuple(m) for m in self.degrees)
-
-
 def _checked_shape(max_degree: int, shape) -> tuple[int, ...]:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -146,18 +126,24 @@ def term_order(m) -> tuple:
     return (sum(m), tuple(m))
 
 
-def _degree_set(shape: tuple[int, ...], degrees) -> DegreeSet:
-    """DegreeSet of ``degrees`` in canonical order, see ``term_order``."""
-    ordered = np.array(sorted(degrees, key=term_order, reverse=True), dtype=int)
-    return DegreeSet(shape=shape, degrees=ordered,
-                     spatial_cardinality=len({m[:-1] for m in degrees}))
+def _degree_set(degrees) -> np.ndarray:
+    """(T, d) int array of ``degrees`` in canonical order, see ``term_order``."""
+    return np.array(sorted(degrees, key=term_order, reverse=True), dtype=int)
 
 
-def degree_set_for_shape(max_degree: int, shape) -> DegreeSet:
-    """Degree set for an arbitrary lattice shape (last axis = frequency).
+def spatial_cardinality(degrees) -> int:
+    """Number of distinct spatial parts (all entries but the last) of the multi-index rows."""
+    return len({tuple(m[:-1]) for m in np.asarray(degrees).tolist()})
 
-    Spatial axes are all leading axes; every non-singleton spatial axis must
-    have at least ``max_degree + 1`` samples, otherwise the basis would be
+
+def degree_set_for_shape(max_degree: int, shape) -> np.ndarray:
+    """Multi-index rows, shape (T, len(shape)), of the total-degree set of a lattice.
+
+    Rows are ordered descending by total degree with lexicographically
+    descending tie-break (``term_order``). Spatial axes are all leading
+    axes; the last axis is the frequency axis and carries degree at most 1;
+    singleton axes carry 0. Every non-singleton spatial axis must have at
+    least ``max_degree + 1`` samples, otherwise the basis would be
     overloaded and a ValueError is raised.
     """
     shape = _checked_shape(max_degree, shape)
@@ -170,15 +156,15 @@ def degree_set_for_shape(max_degree: int, shape) -> DegreeSet:
     ranges = [range(max_degree + 1) if n > 1 else range(1) for n in spatial]
     spatial_degrees = [m for m in product(*ranges) if sum(m) <= max_degree]
     freq_range = range(2) if shape[-1] > 1 else range(1)
-    return _degree_set(shape, [m + (mf,) for m in spatial_degrees for mf in freq_range])
+    return _degree_set([m + (mf,) for m in spatial_degrees for mf in freq_range])
 
 
-def build_degree_set(max_degree: int, spec: ArraySpec) -> DegreeSet:
+def build_degree_set(max_degree: int, spec: ArraySpec) -> np.ndarray:
     """Degree set for the channel tensor of ``spec``; see degree_set_for_shape."""
     return degree_set_for_shape(max_degree, spec.shape)
 
 
-def product_degree_set(max_degree: int, shape) -> DegreeSet:
+def product_degree_set(max_degree: int, shape) -> np.ndarray:
     """Per-axis product degree set, without the total-degree coupling.
 
     Spatial axes carry every degree up to min(max_degree, N_d - 1) in every
@@ -190,7 +176,7 @@ def product_degree_set(max_degree: int, shape) -> DegreeSet:
     shape = _checked_shape(max_degree, shape)
     caps = [min(max_degree, n - 1) for n in shape[:-1]]
     caps.append(min(1, shape[-1] - 1))
-    return _degree_set(shape, list(product(*[range(c + 1) for c in caps])))
+    return _degree_set(product(*[range(c + 1) for c in caps]))
 
 
 def basis_at(coords, m) -> np.ndarray:
@@ -292,13 +278,13 @@ def coefficients_from_geometry(spec: ArraySpec, pose: GeometryPose,
     cycles, into the shared basis by an exact dense solve on the minimal
     index subgrid that determines the polynomial.
     """
-    ds = build_degree_set(max_degree, spec)
-    coords = tuple(np.arange(int(k) + 1) for k in ds.degrees.max(axis=0))
+    degrees = build_degree_set(max_degree, spec)
+    coords = tuple(np.arange(int(k) + 1) for k in degrees.max(axis=0))
     delta = normalized_offsets(spec, pose)[np.ix_(*coords[:4])]
     g = range_factor_taylor(max_degree, pose.direction, delta)
     scale = frequency_factors(spec)[coords[4]]
     cycles = (-pose.distance / spec.wavelength) * g[..., None] * scale
-    return fit_on_grid(coords, cycles, spec.shape, ds.degrees)
+    return fit_on_grid(coords, cycles, spec.shape, degrees)
 
 
 # ---------------------------------------------------------------------------

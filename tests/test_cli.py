@@ -295,6 +295,9 @@ BOUNDARY_CASES = [
     (["synth", "--preset", "ula8-single"], "pose = random\nshell_max = 1e200\n",
      "rmax**3 < inf"),
     (["synth", "--preset", "ula8-single"], "pose_euler = inf 0 0\n", "non-finite Euler angle"),
+    (["synth", "--preset", "ula8-single"], "pose_r = 1e200 0 0\n", "translation must be"),
+    (["synth", "--preset", "ula8-single"], "pose_r = 1e-200 0 0\n", "and so its squared length"),
+    (["landscape"], "d_true = 1e200\n", "translation must be"),
 ]
 
 

@@ -38,8 +38,8 @@ FD_STEP = 1e-6  # relative central-difference step of the gradient oracle
 
 
 def draw_starts(rng, config):
-    """``config.num_starts`` random starts from the configured shell."""
-    return [sample_pose(rng, *config.init_shell) for _ in range(config.num_starts)]
+    """``config.num_starts`` random starts from sample_pose's default 5-15 m shell."""
+    return [sample_pose(rng) for _ in range(config.num_starts)]
 
 
 def fd_gradient(y, spec, params, base_rotations, variant):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nearwave import ppe
+from nearwave.geometry import ArraySpec
 from nearwave.ppe import (
     basis_on_lattice,
     binomial,
@@ -22,7 +23,9 @@ from nearwave.wavefront import (
     PolyPhaseModel,
     approx_channel,
     basis_on_support,
+    build_degree_set,
     degree_set_for_shape,
+    product_degree_set,
     term_order,
 )
 
@@ -31,7 +34,7 @@ def random_model(shape, max_degree, rng, amplitude=0.4):
     """Synthetic truth with coefficients inside the unambiguous range."""
     ds = degree_set_for_shape(max_degree, shape)
     coeffs = rng.uniform(-amplitude, amplitude, size=len(ds))
-    return PolyPhaseModel(shape=shape, degrees=ds.degrees, coeffs=coeffs)
+    return PolyPhaseModel(shape=shape, degrees=ds, coeffs=coeffs)
 
 
 def test_binomial_reexport():
@@ -233,7 +236,7 @@ def lattice_models(draw):
     shape = tuple(draw(st.lists(extent, min_size=1, max_size=5)))
     ds = degree_set_for_shape(L, shape)
     coeffs = draw(st.lists(st.floats(-0.45, 0.45), min_size=len(ds), max_size=len(ds)))
-    return L, PolyPhaseModel(shape=shape, degrees=ds.degrees, coeffs=coeffs)
+    return L, PolyPhaseModel(shape=shape, degrees=ds, coeffs=coeffs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,10 +283,30 @@ def test_estimate_rejects_bad_inputs():
         estimate(np.ones((8,), dtype=complex), ds)  # rank mismatch
     with pytest.raises(ValueError):
         estimate(np.ones((3, 1), dtype=complex), np.array([[3, 0]]))  # degree too high
+    with pytest.raises(ValueError, match="2-D array of multi-index rows"):
+        estimate(np.ones((8, 1), dtype=complex), [2, 0])  # one multi-index, not a list of rows
     y = np.ones((8, 1), dtype=complex)
     y[0, 0] = np.nan
     with pytest.raises(ValueError):
         estimate(y, ds)
+
+
+def test_degree_sets_are_ordered_int_rows_read_in_any_form():
+    shape = (3, 4, 2)
+    spec = ArraySpec.half_wavelength(ntx=4, nrx=4)
+    for ds, lattice in [(degree_set_for_shape(2, shape), shape),
+                        (product_degree_set(2, shape), shape),
+                        (build_degree_set(2, spec), spec.shape)]:
+        assert isinstance(ds, np.ndarray) and ds.dtype.kind == "i" and ds.flags.c_contiguous
+        assert ds.shape == (len(ds), len(lattice))
+        rows = [tuple(m) for m in ds.tolist()]
+        assert rows == sorted(rows, key=term_order, reverse=True)
+    rng = np.random.default_rng(21)
+    y = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
+    ds = degree_set_for_shape(2, shape)
+    coeffs = estimate(y, ds).coeffs
+    assert np.array_equal(estimate(y, ds.tolist()).coeffs, coeffs)
+    assert np.array_equal(estimate(y, tuple(map(tuple, ds))).coeffs, coeffs)
 
 
 def test_estimate_error_variance_scales_inversely_with_snr():

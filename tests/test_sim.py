@@ -5,7 +5,7 @@ import pytest
 
 from nearwave.geometry import ArraySpec, sample_pose, synth
 from nearwave.mle import MleConfig
-from nearwave import sim
+from nearwave import mle, sim
 from nearwave.ppe import estimate, reconstruct
 from nearwave.presets import SPEC_PRESETS
 from nearwave.sim import (
@@ -250,7 +250,7 @@ def test_estimate_from_pilots_exact_on_polynomial_truth():
     shape = (4, 1, 8, 8, 1)
     rng = np.random.default_rng(5)
     ds = degree_set_for_shape(2, shape)
-    truth = PolyPhaseModel(shape=shape, degrees=ds.degrees,
+    truth = PolyPhaseModel(shape=shape, degrees=ds,
                            coeffs=rng.uniform(-1e-3, 1e-3, size=len(ds)))
     y = approx_channel(truth)
     model = estimate_from_pilots(y, 2)
@@ -271,7 +271,7 @@ def test_run_trajectory_experiment_output(tmp_path):
     frac = result.converged_fraction()
     assert 0.0 <= frac <= 1.0
     path = tmp_path / "out.csv"
-    result.to_csv(path)
+    mle.write_trajectory_csv(path, result.starts, result.proxy)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("Iteration,Best_1_Cost_dB")
     assert lines[0].endswith("Proxy_Cost_dB")
