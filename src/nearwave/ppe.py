@@ -57,14 +57,20 @@ def diff(signal: np.ndarray, axis: int) -> np.ndarray:
     return signal[tuple(upper)] * np.conj(signal[tuple(lower)])
 
 
+def _passes(m) -> list[int]:
+    """Axes of the differences of degree ``m`` in the order they apply: the inner, slower
+    ones first, where the terms of a level share them (see ``_shared_differences``).
+    """
+    return [d for d in reversed(range(len(m))) for _ in range(int(m[d]))]
+
+
 def diff_multi(signal: np.ndarray, m) -> np.ndarray:
-    """Apply ``m_d`` conjugate-product differences along each leading axis d."""
+    """Apply ``m_d`` conjugate-product differences along each leading axis d, last axis first."""
     out = np.asarray(signal)
     if len(m) > out.ndim or any(int(k) < 0 for k in m):
         raise ValueError(f"need at most {out.ndim} entries m_d >= 0, got {tuple(m)}")
-    for axis, reps in enumerate(m):
-        for _ in range(int(reps)):
-            out = diff(out, axis)
+    for axis in _passes(m):
+        out = diff(out, axis)
     return out
 
 
@@ -117,7 +123,8 @@ def _circular_average(signal: np.ndarray, m):
 
     Rows are the leading axes, averaged over the trailing ``len(m)``. The weighted mean
     contracts the residual phases with the 1-D weight factors one axis at a time, from the
-    last, skipping extent 1 (factor 1.0).
+    first, skipping extent 1 (factor 1.0). Each row is its own vector-matrix product, so a
+    batch gets the bits of a loop.
     """
     batch, lattice = signal.shape[:signal.ndim - len(m)], signal.shape[signal.ndim - len(m):]
     flat = signal.reshape(batch + (-1,))
@@ -126,23 +133,43 @@ def _circular_average(signal: np.ndarray, m):
         raise ValueError("projections cancel; pilot direction undefined")
     residual = np.angle(flat * np.conj(pilot)[..., None])
     kept = [(int(k), n) for k, n in zip(m, lattice) if n > 1]
-    mean = residual.reshape(batch + tuple(n for _, n in kept))
-    for k, n in reversed(kept):
-        mean = np.vecdot(mean, _weights_1d(k, n + k))
-    cycles = (np.angle(pilot) + mean) / (2.0 * np.pi)
+    mean = residual
+    for k, n in kept:
+        mean = np.matmul(_weights_1d(k, n + k), mean.reshape(batch + (n, -1)))
+    cycles = (np.angle(pilot) + mean.reshape(batch)) / (2.0 * np.pi)
     return cycles - np.round(cycles)
 
 
 def _shared_differences(signal: np.ndarray, ms, first_axis: int):
-    """Yield diff_multi(signal, m) per m in ``ms``, axis d at first_axis + d, sharing passes."""
+    """Yield diff_multi(signal, m) per m in ``ms``, axis d at first_axis + d, sharing passes.
+
+    Each m reuses the leading passes it shares with the previous one, so ``ms`` sorted by
+    ``_passes`` takes each distinct prefix once.
+    """
     stack, previous = [signal], []  # stack[k]: the last m after its first k passes
     for m in ms:
-        passes = [first_axis + d for d, k in enumerate(m) for _ in range(int(k))]
+        passes = [first_axis + d for d in _passes(m)]
         del stack[1 + len(list(takewhile(lambda pair: pair[0] == pair[1], zip(previous, passes)))):]
         for axis in passes[len(stack) - 1:]:
             stack.append(diff(stack[-1], axis))
         previous = passes
         yield stack[-1]
+
+
+def _degree_rows(degrees, shape) -> np.ndarray:
+    """``degrees`` as 2-D int multi-index rows over the trailing axes of ``shape``, checked."""
+    try:
+        rows = np.asarray(degrees, dtype=int)
+    except (TypeError, ValueError):  # None, ragged rows, entries that are not numbers
+        rows = np.empty(0, dtype=int)
+    if rows.ndim != 2:
+        raise ValueError("degrees must be a 2-D array of multi-index rows")
+    if rows.shape[1] > len(shape):
+        raise ValueError(f"degree multi-indices have {rows.shape[1]} axes, "
+                         f"more than the {len(shape)} available")
+    if np.any(rows < 0) or np.any(rows >= np.asarray(shape[len(shape) - rows.shape[1]:])):
+        raise ValueError("every degree must satisfy 0 <= m_d < N_d")
+    return rows
 
 
 def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
@@ -157,23 +184,21 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     ``batch + (terms,)``. Every entry of ``y`` needs a finite nonzero modulus.
     """
     y = np.asarray(y, dtype=complex)
-    rows = np.asarray(degrees, dtype=int)
-    if rows.ndim != 2:
-        raise ValueError("degrees must be a 2-D array of multi-index rows")
-    if rows.shape[1] > y.ndim:
-        raise ValueError("degree multi-indices must not have more axes than the signal")
+    rows = _degree_rows(degrees, y.shape)
     batch, lattice = y.shape[:y.ndim - rows.shape[1]], y.shape[y.ndim - rows.shape[1]:]
-    if np.any(rows < 0) or np.any(rows >= np.asarray(lattice)):
-        raise ValueError("every degree must satisfy 0 <= m_d < N_d")
     order = sorted(range(rows.shape[0]), key=lambda i: term_order(rows[i]), reverse=True)
+    levels = [[(i, tuple(int(v) for v in rows[i])) for i in level]
+              for _, level in groupby(order, key=lambda i: rows[i].sum())]
     work = _unit(y)
     coeffs = np.empty(batch + (rows.shape[0],))
-    for _, level in groupby(order, key=lambda i: rows[i].sum()):
-        level = [(i, tuple(int(v) for v in rows[i])) for i in level]
+    for level in levels:
+        level_by_passes = sorted(level, key=lambda term: _passes(term[1]))
         # bound until the next level: freed earlier, the stack lets the heap shrink and fault back
-        differenced = _shared_differences(work, [m for _, m in level], len(batch))
-        for (i, m), signal in zip(level, differenced):
+        differenced = _shared_differences(work, [m for _, m in level_by_passes], len(batch))
+        for (i, m), signal in zip(level_by_passes, differenced):
             coeffs[..., i] = _circular_average(signal, m)
+        if level is levels[-1]:
+            break  # nothing reads the peeled signal after the last level
         for i, m in level:
             cycles = coeffs[..., i].reshape(batch + (1,) * len(m)) * basis_on_support(lattice, m)
             cycles -= np.round(cycles)  # whole cycles: exp need not reduce a large argument
@@ -210,7 +235,9 @@ def expand_to_lattice(model: PolyPhaseModel, coords, full_shape, degrees) -> Pol
             raise ValueError("coords must match the sublattice shape")
         if np.any(c < 0) or np.any(c >= n_full):
             raise ValueError("coords out of range of the full lattice")
-    rows = np.asarray(degrees, dtype=int)
+    rows = _degree_rows(degrees, full_shape)
+    if rows.shape[1] != len(full_shape):
+        raise ValueError("degree multi-indices must match the lattice rank")
     m_max = np.maximum(rows.max(axis=0), model.degrees.max(axis=0))
     if np.any(m_max + 1 > np.asarray(model.shape)):
         raise ValueError("sublattice too small to determine the full-lattice basis")

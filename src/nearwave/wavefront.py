@@ -244,11 +244,31 @@ class PolyPhaseModel:
         return {tuple(row): float(a) for row, a in zip(self.degrees, self.coeffs)}
 
     def phase_cycles(self) -> np.ndarray:
-        """Phase polynomial in cycles, shape ``batch + shape``, summed in term order."""
-        coeffs = self.coeffs.reshape(self.coeffs.shape[:-1] + (1,) * len(self.shape) + (-1,))
-        out = np.zeros(self.coeffs.shape[:-1] + self.shape)
-        for t, m in enumerate(self.degrees.tolist()):
-            out += coeffs[..., t] * basis_on_support(self.shape, tuple(m))
+        """Phase polynomial in cycles, shape ``batch + shape``, evaluated one axis at a time.
+
+        The coefficients fill a dense tensor of extent max m_d + 1 per axis. From the last
+        axis on, each axis expands to the lattice as sum_k C(n_d, k) times its slice k, in
+        elementwise multiply-adds (not BLAS, so a batch gets the bits of a loop).
+        """
+        batch = self.coeffs.shape[:-1]
+        out = np.zeros(batch + tuple(self.degrees.max(axis=0, initial=0) + 1))
+        np.add.at(out, (...,) + tuple(self.degrees.T), self.coeffs)
+        for axis in reversed(range(len(self.shape))):  # the largest expansion runs along axis 0
+            at, n = len(batch) + axis, self.shape[axis]
+            if out.shape[at] == 1:
+                continue  # every m_d is 0, as on any singleton axis: broadcast below
+            head, trailing = (slice(None),) * at, (1,) * (len(self.shape) - axis - 1)
+            parts = [out[head + (slice(k, k + 1),)] for k in range(out.shape[at])]
+            rows = [basis_on_support((n,), (k,)).reshape((n,) + trailing)
+                    for k in range(1, len(parts))]
+            out = parts[1] * rows[0]
+            out += parts[0]  # C(n, 0) = 1
+            if len(parts) > 2:
+                term = np.empty_like(out)
+                for part, row in zip(parts[2:], rows[1:]):
+                    out += np.multiply(part, row, out=term)
+        if out.shape != batch + self.shape:
+            out = np.broadcast_to(out, batch + self.shape).copy()
         return out
 
 

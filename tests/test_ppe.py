@@ -624,3 +624,32 @@ def test_expand_to_lattice_rejects_bad_coordinates(coords, full_shape, message):
     degrees = np.array([[4], [0]]) if message == "sublattice too small" else None
     with pytest.raises(ValueError, match=message):
         expand_to_lattice(model, coords, full_shape, degrees)
+
+
+@pytest.mark.parametrize("degrees", [[1], np.array([[1, 0], [0, 0]]), None])
+def test_expand_to_lattice_rejects_bad_degrees(degrees):
+    model = PolyPhaseModel(shape=(4,), degrees=np.array([[1], [0]]), coeffs=[0.2, 0.1])
+    with pytest.raises(ValueError):
+        expand_to_lattice(model, (np.array([0, 2, 4, 6]),), (8,), degrees)
+
+
+# ---------------------------------------------------------------------------
+# array passes
+# ---------------------------------------------------------------------------
+
+
+def test_estimate_difference_passes_on_a_five_axis_lattice(monkeypatch):
+    # innermost axes first, terms of a level sorted by their passes: 157 passes for
+    # degrees 1, 2 and 3 on 8^5, where the first axis first would take 181
+    shape = (8, 8, 8, 8, 8)
+    calls = []
+
+    def counted(signal, axis):
+        calls.append(axis)
+        return diff(signal, axis)
+
+    monkeypatch.setattr(ppe, "diff", counted)
+    y = np.exp(1j * np.random.default_rng(14).uniform(-np.pi, np.pi, size=shape))
+    for L in (1, 2, 3):
+        estimate(y, degree_set_for_shape(L, shape))
+    assert len(calls) == 157

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearwave.geometry import ArraySpec, GeometryPose, frequency_factors, sample_pose, synth
 from nearwave.wavefront import (
@@ -229,6 +231,41 @@ def test_poly_phase_model_checks_the_term_axis():
     for k in range(3):
         alone = PolyPhaseModel(shape=(5,), degrees=model.degrees, coeffs=model.coeffs[k])
         assert np.array_equal(phase[k], alone.phase_cycles())
+
+
+def phase_by_terms(model):
+    """Phase in cycles summed term by term over full-lattice bases, the oracle of phase_cycles."""
+    phase = np.zeros(model.coeffs.shape[:-1] + model.shape)
+    for m, a in zip(model.degrees, np.moveaxis(model.coeffs, -1, 0)):
+        phase += a.reshape(a.shape + (1,) * len(model.shape)) * basis_on_lattice(model.shape, m)
+    return phase
+
+
+@st.composite
+def batched_models(draw):
+    """A model on a lattice of rank 1 to 5 with extents 1 to 4, under 0 to 2 batch axes.
+
+    Up to 8 degree rows, repeats allowed (repeated rows add), coefficients in cycles in
+    [-0.5, 0.5], as ``estimate`` returns them; so the phase stays below 1000 cycles.
+    """
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    row = st.tuples(*[st.integers(0, n - 1) for n in shape])
+    degrees = np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=int)
+    batch = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.uniform(-0.5, 0.5, size=batch + (len(degrees),))
+    return PolyPhaseModel(shape=shape, degrees=degrees, coeffs=coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=batched_models())
+def test_phase_cycles_matches_term_sum_and_batch_equals_loop(model):
+    phase = model.phase_cycles()
+    assert phase.shape == model.coeffs.shape[:-1] + model.shape
+    assert np.max(np.abs(phase - phase_by_terms(model))) <= 1e-12
+    for idx in np.ndindex(model.coeffs.shape[:-1]):
+        alone = PolyPhaseModel(shape=model.shape, degrees=model.degrees, coeffs=model.coeffs[idx])
+        assert np.array_equal(phase[idx], alone.phase_cycles())
 
 
 def test_coefficient_rejects_batched_model():
