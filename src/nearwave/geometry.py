@@ -314,15 +314,15 @@ def rx_local_grid(spec: ArraySpec) -> np.ndarray:
     return _local_grid(spec.nrx, spec.nry, spec.drx, spec.dry)
 
 
-def rx_positions(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
-    """Receive antenna positions r + R @ local, shape (nrx, nry, 3)."""
-    local = rx_local_grid(spec)
-    return pose.r + np.einsum("ij,xyj->xyi", pose.R, local)
+def rx_positions(spec: ArraySpec, r: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Receive antenna positions r + R @ local of a pose batch, shape (S, nrx, nry, 3)."""
+    r = np.asarray(r, dtype=float)
+    return r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, rx_local_grid(spec))
 
 
 def antenna_positions(spec: ArraySpec, pose: GeometryPose):
     """Positions of both arrays: (tx (ntx, nty, 3), rx (nrx, nry, 3))."""
-    return tx_positions(spec), rx_positions(spec, pose)
+    return tx_positions(spec), rx_positions(spec, pose.r[None], pose.R[None])[0]
 
 
 def antenna_positions_alt(spec: ArraySpec, distance: float, tx_angles, rx_angles):
@@ -336,46 +336,44 @@ def antenna_positions_alt(spec: ArraySpec, distance: float, tx_angles, rx_angles
         raise ValueError("distance must be > 0")
     Rt = rotation_from_euler(*tx_angles)
     tx = np.einsum("ij,xyj->xyi", Rt, tx_positions(spec))
-    rx = rx_positions(spec, GeometryPose.from_euler([0.0, 0.0, distance], *rx_angles))
-    return tx, rx
+    pose = GeometryPose.from_euler([0.0, 0.0, distance], *rx_angles)
+    return tx, rx_positions(spec, pose.r[None], pose.R[None])[0]
 
 
-def pair_offsets(spec: ArraySpec, r: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
+def pair_offsets(spec: ArraySpec, r: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Receive-minus-transmit antenna offsets for a batch of poses.
 
     ``r`` has shape (S, 3) and ``R`` shape (S, 3, 3); the result has shape
-    (S, nrx, nry, ntx, nty, 3) and is written into ``out`` when given.
-    Rotations are not validated.
+    (S, nrx, nry, ntx, nty, 3). Rotations are not validated.
     """
-    r = np.asarray(r, dtype=float)
-    R = np.asarray(R, dtype=float)
-    rx = r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, rx_local_grid(spec))
+    return rx_positions(spec, r, R)[:, :, :, None, None, :] - tx_positions(spec)
+
+
+def pair_distances(offsets: np.ndarray) -> np.ndarray:
+    """Euclidean length of each offset along the last axis, shape (..., 3) -> (...)."""
+    return np.linalg.norm(offsets, axis=-1)
+
+
+def _distances(spec: ArraySpec, r: np.ndarray, R: np.ndarray, out=None, scratch=None):
+    """Receive antenna positions (S, nrx, nry, 3) and pair distances (S, nrx, nry, ntx, nty).
+
+    The bits of pair_distances(pair_offsets(spec, r, R)) without the offset tensor:
+    each offset component in turn goes into ``scratch``, the distances into ``out``.
+    """
+    rx = rx_positions(spec, r, R)
     tx = tx_positions(spec)
-    out = np.empty(rx.shape[:3] + tx.shape) if out is None else out
-    # one subtraction per component: broadcasting over the 3-long last axis
-    # runs numpy's inner loop three entries at a time, which is slow
-    for i in range(3):
-        np.subtract(rx[:, :, :, None, None, i], tx[..., i], out=out[..., i])
-    return out
-
-
-def pair_distances(offsets: np.ndarray, out=None) -> np.ndarray:
-    """Euclidean length of each offset along the last axis, shape (..., 3) -> (...).
-
-    Summed in the order np.linalg.norm(offsets, axis=-1) uses, so the bits
-    match it, without its reduction over a 3-long axis. Written into ``out``
-    when given.
-    """
-    x, y, z = offsets[..., 0], offsets[..., 1], offsets[..., 2]
-    out = np.multiply(x, x, out=out)
-    out += y * y
-    out += z * z
-    return np.sqrt(out, out=out)
+    out = np.empty(rx.shape[:3] + tx.shape[:2]) if out is None else out
+    scratch = np.empty_like(out) if scratch is None else scratch
+    np.square(np.subtract(rx[:, :, :, None, None, 0], tx[..., 0], out=out), out=out)
+    for i in (1, 2):
+        out += np.square(np.subtract(rx[:, :, :, None, None, i], tx[..., i], out=scratch),
+                         out=scratch)
+    return rx, np.sqrt(out, out=out)
 
 
 def distance_tensor(spec: ArraySpec, pose: GeometryPose) -> np.ndarray:
     """Pairwise antenna distances, shape (nrx, nry, ntx, nty)."""
-    return pair_distances(pair_offsets(spec, pose.r[None], pose.R[None])[0])
+    return _distances(spec, pose.r[None], pose.R[None])[1][0]
 
 
 def pairwise_distance(spec: ArraySpec, pose: GeometryPose, n_t, n_r) -> float:
@@ -406,26 +404,30 @@ def synth_batch(spec: ArraySpec, r: np.ndarray, R: np.ndarray,
     validated.
     """
     r = np.asarray(r, dtype=float)
-    dist = pair_distances(pair_offsets(spec, r, R))
-    return synth_from_distances(spec, r, dist, unit_amplitude)
+    return synth_from_distances(spec, r, _distances(spec, r, R)[1], unit_amplitude)
 
 
 def synth_from_distances(spec: ArraySpec, r: np.ndarray, dist: np.ndarray,
                          unit_amplitude: bool = False, out=None) -> np.ndarray:
-    """Channel tensors from the pair distances ``dist`` (S, nrx, nry, ntx, nty).
+    """``synth_batch`` of the poses with center distances ``r`` (S, 3) and pair distances ``dist``.
 
-    ``r`` (S, 3) gives the center distance of the amplitude factor. The
-    result, shape (S, nrx, nry, ntx, nty, nf), is what ``synth_batch``
-    returns for the poses whose pair distances these are; it is written into
-    ``out`` when given. The phase is the one temporary; the amplitude ratio
-    reuses it.
+    Into ``out`` the phase (kappa d) f goes as the imaginary part, exponentiated in
+    place: the bits of exp(1j * phase). A new result takes that formula, whose freed
+    complex temporary spares the sweeps' later peel most of its page faults (CHANGES.md).
     """
-    phase = (-2.0 * np.pi / spec.wavelength) * dist[..., None] * frequency_factors(spec)
-    h = np.exp(np.multiply(1j, phase, out=out), out=out)
+    kappa = -2.0 * np.pi / spec.wavelength
+    if out is None:
+        h = np.exp(1j * (kappa * dist[..., None] * frequency_factors(spec)))
+    else:
+        h = out
+        phase = np.multiply(kappa, dist[..., None], out=h.imag)
+        phase *= frequency_factors(spec)
+        h.real = 0.0
+        np.exp(h, out=h)
     if not unit_amplitude:
         # a per-pose dot product, as GeometryPose.distance takes it, so the
         # amplitude uses the same D to the last bit
         center = np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            h *= np.divide(center[:, None, None, None, None, None], dist[..., None], out=phase)
+            h *= np.divide(center[:, None, None, None, None], dist)[..., None]
     return h

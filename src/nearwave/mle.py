@@ -4,9 +4,10 @@ Three cost functionals over the pose (r, R), closed-form attenuation
 estimates, and a multi-start first-order optimizer. Rotations are
 parameterized as R = R0 @ expm(skew(omega)) with R0 the per-start initial
 rotation, so the optimization runs over six unconstrained reals (r, omega).
-Each iteration takes every start's cost and its closed-form gradient in one
-pass over the channel, the chain rule running from the cost through the pair
-distances to (r, omega); the starts advance together, evaluated in blocks.
+Each iteration takes every start's cost and closed-form gradient in one pass,
+in blocks of starts: distances without a pair-offset tensor, the channel
+synthesised in place, the attenuation fitted from dot products, and the chain
+rule from the cost through the pair distances to (r, omega).
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from .chanfile import write_csv
 from .geometry import (
     ArraySpec,
     GeometryPose,
+    _distances,
     frequency_factors,
-    pair_distances,
-    pair_offsets,
     rotation_from_tangent_batch,
     rotation_jacobian_batch,
     rx_local_grid,
@@ -29,6 +29,7 @@ from .geometry import (
     synth,
     synth_batch,
     synth_from_distances,
+    tx_positions,
 )
 
 COST_VARIANTS = ("plain", "complex_beta", "unit_beta")
@@ -91,27 +92,23 @@ class DivergedError(RuntimeError):
     """Every optimizer start reached a non-finite cost or gradient."""
 
 
-def _fit(y: np.ndarray, h: np.ndarray, variant: str, work=None,
-         real_work=None) -> tuple[np.ndarray, np.ndarray]:
+def _fit(y: np.ndarray, h: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form attenuation and cost of each batched channel h (S, ...) against y.
 
-    Returns (beta, cost), each of shape (S,), with cost = mean |y - beta h|^2.
-    Complex ``work`` and real ``real_work`` shaped like h take the temporaries.
+    Returns (beta, cost), each of shape (S,), with cost = mean |y - beta h|^2,
+    taken from the dot products <h, y>, <h, h> and <y, y>.
     """
-    axes = tuple(range(1, h.ndim))
-    size = y.size
-    if variant == "plain":
-        res = np.abs(np.subtract(y, h, out=work), out=real_work)
-        return np.ones(len(h), dtype=complex), np.sum(np.square(res, out=res), axis=axes) / size
-    inner = np.sum(np.multiply(y, np.conj(h, out=work), out=work), axis=axes)
+    y, h = y.reshape(-1), h.reshape(len(h), -1)
+    inner = np.vecdot(h, y)
     corr = np.abs(inner)
-    y_energy = np.sum(np.abs(y) ** 2)
-    h_abs = np.abs(h, out=real_work)
-    h_energy = np.sum(np.square(h_abs, out=h_abs), axis=axes)
+    y_energy = np.vdot(y, y).real
+    h_energy = np.vecdot(h, h).real
+    if variant == "plain":
+        return np.ones(len(h), dtype=complex), (y_energy + h_energy - 2.0 * inner.real) / y.size
     if variant == "complex_beta":
-        return inner / h_energy, (y_energy - corr**2 / h_energy) / size
+        return inner / h_energy, (y_energy - corr**2 / h_energy) / y.size
     if variant == "unit_beta":
-        return inner / corr, (y_energy + h_energy - 2.0 * corr) / size
+        return inner / corr, (y_energy + h_energy - 2.0 * corr) / y.size
     raise ValueError(f"unknown cost variant: {variant!r}")
 
 
@@ -154,32 +151,33 @@ def beta_hat(y, spec: ArraySpec, pose: GeometryPose, variant: str = "complex_bet
 
 
 def _workspace(spec: ArraySpec, count: int):
-    """One block's arrays for ``_cost_pass`` over ``count`` starts: pair offsets,
-    distances and gradient weights, the channel, and complex and real scratch."""
-    pairs = (max(1, min(count, GRAD_BLOCK_ENTRIES // spec.size)),
-             spec.nrx, spec.nry, spec.ntx, spec.nty)
-    entries = pairs + (spec.nf,)
-    return (np.empty(pairs + (3,)), np.empty(pairs), np.empty(pairs),
-            np.empty(entries, dtype=complex), np.empty(entries, dtype=complex),
-            np.empty(entries))
+    """One block's arrays for ``_cost_pass`` over ``count`` starts: pair distances,
+    gradient weights (first the distances' scratch), the channel and its scratch."""
+    block = max(1, min(count, GRAD_BLOCK_ENTRIES // spec.size))
+    pairs, entries = (block,) + spec.shape[:-1], (block,) + spec.shape
+    return (np.empty(pairs), np.empty(pairs),
+            np.empty(entries, dtype=complex), np.empty(entries, dtype=complex))
 
 
 def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
     """Cost of each start at ``params`` (S, 6), and its gradient into ``grad`` if given.
 
-    Starts run in blocks the size of ``work`` (from ``_workspace``), which
-    holds each block's arrays; no start's numbers depend on its block.
+    Starts run in blocks the size of ``work`` (from ``_workspace``); no
+    start's numbers depend on its block. No block forms the pair offsets: the
+    gradient takes sum_ab w (rx - tx) as rx sum_ab w - sum_ab w tx, per start.
     """
     cost = np.empty(len(params))
     step = len(work[0])
+    tx = tx_positions(spec).reshape(-1, 3)
+    kappa_f = (-2.0 * np.pi / spec.wavelength) * frequency_factors(spec)
     for lo in range(0, len(params), step):
         part = slice(lo, lo + step)
         r, omega = params[part, :3], params[part, 3:]
-        offsets, dist, g, h, zh, real_work = (a[:len(r)] for a in work)
-        pair_offsets(spec, r, base_rotations[part] @ rotation_from_tangent_batch(omega),
-                     out=offsets)
-        synth_from_distances(spec, r, pair_distances(offsets, out=dist), out=h)
-        beta, cost[part] = _fit(y, h, variant, zh, real_work)
+        dist, g, h, zh = (a[:len(r)] for a in work)
+        rx, _ = _distances(spec, r, base_rotations[part] @ rotation_from_tangent_batch(omega),
+                           out=dist, scratch=g)
+        synth_from_distances(spec, r, dist, out=h)
+        beta, cost[part] = _fit(y, h, variant)
         if grad is None:
             continue
         beta = beta.reshape((-1,) + (1,) * (h.ndim - 1))
@@ -190,16 +188,15 @@ def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
         zh *= h
         # h = (D / d) exp(j kappa f d): the weight of each pair distance, and of
         # log D through the amplitude; the weights overwrite h, which is used up
-        kappa = -2.0 * np.pi / spec.wavelength
-        np.add(np.divide(-1.0, dist, out=g)[..., None],
-               1j * kappa * frequency_factors(spec), out=h)
+        np.add(np.divide(-1.0, dist, out=g)[..., None], 1j * kappa_f, out=h)
         np.sum(np.multiply(zh, h, out=h).real, axis=-1, out=g)
         amp = np.sum(zh.real, axis=tuple(range(1, h.ndim)))
-        # sum over transmit antennas of g u, u = offset / d the unit pair vector
-        gu = np.einsum("sxyabi,sxyab->sxyi", offsets, np.divide(g, dist, out=g))
-        grad[part, :3] = gu.sum(axis=(1, 2)) + (amp / np.sum(r * r, axis=1))[:, None] * r
+        # per receive antenna p, sum over transmit antennas of g u, u = (rx - tx) / d
+        w = np.divide(g, dist, out=g).reshape(len(r), -1, len(tx))
+        gu = rx.reshape(w.shape[:2] + (3,)) * np.sum(w, axis=2)[..., None] - w @ tx
+        grad[part, :3] = gu.sum(axis=1) + (amp / np.sum(r * r, axis=1))[:, None] * r
         # d cost / dR = M = sum g u p_rx^T over pairs, p_rx in the array frame
-        M = np.einsum("sxyi,xyj->sij", gu, rx_local_grid(spec))
+        M = np.einsum("spi,pj->sij", gu, rx_local_grid(spec).reshape(-1, 3))
         dR = base_rotations[part, None] @ rotation_jacobian_batch(omega)
         grad[part, 3:] = np.sum(dR * M[:, None], axis=(2, 3))
     return cost
@@ -311,10 +308,9 @@ def landscape_scan(d_true: float = 5.0, d_range: tuple[float, float] = (4.6, 5.4
     r_batch[:, 2] = grid
     R_batch = np.broadcast_to(np.eye(3), (grid.size, 3, 3))
     h = synth_batch(spec, r_batch, R_batch)
-    size = y.size
-    point = np.sqrt(size * _fit(y, h, "plain")[1])
+    point = np.sqrt(y.size * _fit(y, h, "plain")[1])
     # rounding can leave the absorbed cost a few ULPs below zero at the truth
-    plane = np.sqrt(size * np.maximum(_fit(y, h, "complex_beta")[1], 0.0))
+    plane = np.sqrt(y.size * np.maximum(_fit(y, h, "complex_beta")[1], 0.0))
     return grid, point, plane
 
 

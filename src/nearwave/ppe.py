@@ -169,6 +169,8 @@ def _degree_rows(degrees, shape) -> np.ndarray:
                          f"more than the {len(shape)} available")
     if np.any(rows < 0) or np.any(rows >= np.asarray(shape[len(shape) - rows.shape[1]:])):
         raise ValueError("every degree must satisfy 0 <= m_d < N_d")
+    if len(set(map(tuple, rows.tolist()))) != len(rows):
+        raise ValueError("degree multi-indices must not repeat: a repeat counts once per copy")
     return rows
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from nearwave import geometry
 from nearwave.geometry import (
     ArraySpec,
     GeometryPose,
@@ -26,6 +27,7 @@ from nearwave.geometry import (
     skew,
     synth,
     synth_batch,
+    synth_from_distances,
     tx_positions,
 )
 from nearwave.presets import SPEC_PRESETS
@@ -348,6 +350,25 @@ def test_synth_batch_equals_loop_bit_for_bit(preset, seeds, unit):
         assert np.array_equal(h, synth(spec, pose, unit))
 
 
+@pytest.mark.parametrize("nf, df", [(1, 0.0), (8, 5e-4)])
+@pytest.mark.parametrize("unit", [False, True])
+def test_synth_batch_bits_equal_the_textbook_formula(nf, df, unit):
+    spec = ArraySpec.half_wavelength(ntx=4, nty=2, nrx=3, nf=nf, df=df)
+    rng = np.random.default_rng(17)
+    poses = [sample_pose(rng) for _ in range(4)]
+    r, R = np.stack([p.r for p in poses]), np.stack([p.R for p in poses])
+    d = np.linalg.norm(pair_offsets(spec, r, R), axis=-1)[..., None]
+    kappa = -2.0 * np.pi / spec.wavelength
+    expected = np.exp(1j * ((kappa * d) * frequency_factors(spec)))
+    if not unit:
+        D = np.array([p.distance for p in poses]).reshape(-1, 1, 1, 1, 1, 1)
+        expected = (D / d) * expected
+    assert np.array_equal(synth_batch(spec, r, R, unit), expected)
+    # the in-place path, into a workspace as the MLE's block kernel passes it
+    out = np.empty(expected.shape, dtype=complex)
+    assert np.array_equal(synth_from_distances(spec, r, d[..., 0], unit, out=out), expected)
+
+
 # 1 to 8 antennas per axis, spacings and translations scaled together from
 # 1e-3 to 1e3 so the offsets span that range too
 @settings(max_examples=120, deadline=None)
@@ -366,6 +387,22 @@ def test_pair_distance_kernel_bit_for_bit(counts, seed, scale, num_poses):
     assert np.array_equal(offsets, rx[:, :, :, None, None, :]
                           - tx_positions(spec)[None, None, None, :, :, :])
     assert np.array_equal(pair_distances(offsets), np.linalg.norm(offsets, axis=-1))
+
+
+# the kernel behind synthesis and the MLE, which never forms the offsets, over
+# the same layouts and scales
+@settings(max_examples=60, deadline=None)
+@given(counts=st.tuples(*[st.integers(1, 8)] * 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_distance_kernel_keeps_the_bits_of_the_offset_norm(counts, seed, scale):
+    nrx, nry, ntx, nty = counts
+    rng = np.random.default_rng(seed)
+    dtx, dty, drx, dry = scale * rng.uniform(1e-3, 1e-1, size=4)
+    spec = ArraySpec(ntx=ntx, nty=nty, nrx=nrx, nry=nry, dtx=dtx, dty=dty, drx=drx, dry=dry)
+    r = scale * rng.normal(size=(2, 3))
+    R = np.stack([random_rotation(rng) for _ in range(2)])
+    dist = geometry._distances(spec, r, R)[1]
+    assert np.array_equal(dist, np.linalg.norm(pair_offsets(spec, r, R), axis=-1))
 
 
 def test_pair_distances_of_coincident_antennas():

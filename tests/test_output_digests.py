@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 spec = importlib.util.spec_from_file_location(
     "output_digests", Path(__file__).resolve().parents[1] / "tools" / "output_digests.py")
 output_digests = importlib.util.module_from_spec(spec)
@@ -46,3 +48,27 @@ def test_column_differences_reports_largest_gap_and_shape_changes(tmp_path):
                                                            ("v", "max |diff| 0.5")]
     assert gaps(tmp_path / "a.csv", tmp_path / "c.csv") == [("(rows)", "differs: 3 against 1")]
     assert gaps(tmp_path / "a.csv", tmp_path / "d.csv") == [("(header)", "differs")]
+
+
+def test_compare_exits_1_unless_every_line_is_identical(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "0-mse/mse.csv", "snr,mse\n0,-10.0\n")
+    write(b, "0-mse/mse.csv", "snr,mse\n0,-10.0\n")
+    write(a, "0-synth/channel.bin", "ab")
+    write(b, "0-synth/channel.bin", "ab")
+
+    def exit_code(*argv):
+        with pytest.raises(SystemExit) as stop:
+            output_digests.main(["--compare", *map(str, argv)])
+        return stop.value.code
+
+    assert exit_code(a, b) == 0
+    write(b, "0-synth/channel.bin", "ac")
+    assert exit_code(a, b) == 1
+    write(b, "0-synth/channel.bin", "ab")
+    write(b, "0-mse/mse.csv", "snr,mse\n0,-10.5\n")
+    assert exit_code(a, b) == 1
+    write(b, "0-mse/mse.csv", "snr,mse\n0,-10.0\n")
+    write(b, "0-only/table.csv", "x\n1\n")
+    assert exit_code(a, b) == 1
+    assert exit_code(a, tmp_path / "missing") == 2  # a mistyped directory is no pass

@@ -291,6 +291,19 @@ def test_estimate_rejects_bad_inputs():
         estimate(y, ds)
 
 
+def test_repeated_degree_rows_are_rejected():
+    # a noiseless degree-2 phase: peeling the repeated (2, 0) row twice would
+    # return a wrong (1, 0) coefficient rather than fail
+    n = np.arange(8.0)[:, None]
+    y = np.exp(2j * np.pi * (-0.0921 * n + 0.031 * n * (n - 1) / 2))
+    repeated = np.array([[2, 0], [2, 0], [1, 0], [0, 0]])
+    with pytest.raises(ValueError, match="degree multi-indices must not repeat"):
+        estimate(y, repeated)
+    model = estimate(y[::2], repeated[1:])
+    with pytest.raises(ValueError, match="degree multi-indices must not repeat"):
+        expand_to_lattice(model, (np.arange(0, 8, 2), np.arange(1)), (8, 1), repeated)
+
+
 def test_degree_sets_are_ordered_int_rows_read_in_any_form():
     shape = (3, 4, 2)
     spec = ArraySpec.half_wavelength(ntx=4, nrx=4)

@@ -18,7 +18,9 @@ directory, instead of a temporary one.
 ``--compare`` reads two kept directories and prints, for every column of
 every CSV file, ``identical`` or the largest absolute difference between
 the two files' numbers, and for every other file whether its digest is
-identical. Uses the standard library and, to run the calls, nearwave only.
+identical. It exits 0 when every line reads ``identical`` and 1 otherwise,
+so it can gate a change that must keep every output byte. Uses the
+standard library and, to run the calls, nearwave only.
 """
 
 from __future__ import annotations
@@ -146,8 +148,12 @@ def main(argv=None) -> None:
                       help="compare two directories written with --keep")
     args = parser.parse_args(argv)
     if args.compare:
-        print("\n".join(compare(*args.compare)))
-        return
+        missing = [d for d in args.compare if not os.path.isdir(d)]
+        if missing:
+            parser.error(f"not a directory: {', '.join(missing)}")
+        lines = compare(*args.compare)
+        print("\n".join(lines))
+        sys.exit(0 if all(line.endswith(" identical") for line in lines) else 1)
     import nearwave
 
     print(f"nearwave from {os.path.dirname(nearwave.__file__)}", file=sys.stderr)
