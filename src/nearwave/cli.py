@@ -3,7 +3,7 @@
 Subcommands: synth, estimate, mse, mle, landscape. Configuration is flat
 "key = value" text (see parse_config); presets provide defaults and any
 config file or flag overrides them. Exit codes: 0 success, 2 configuration
-error, 3 I/O error.
+error or a setting too large for memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -242,6 +242,9 @@ def main(argv=None) -> int:
         chanfile.write_metadata(chanfile.sidecar_path(path), _base_metadata(args, **extra))
     except (ConfigError, ValueError, mle.DivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("snr_grid must not be empty")
         if not all(np.isfinite(s) for s in self.snr_grid):
             raise ValueError("snr values must be finite")
+        if len(set(self.degree_list)) != len(self.degree_list):
+            raise ValueError(f"degree_list repeats a degree: {self.degree_list}")
 
     def digest(self) -> str:
         """Short hash identifying the configuration."""
@@ -139,29 +141,30 @@ class ExperimentReport:
 
 
 def run_mse_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Estimate, reconstruct, and score over the SNR grid and degree list.
+    """Score LS and the PPE of each degree over the SNR grid in one MSE table.
 
     Per trial: draw a pose from the shell, synthesize the channel in the
-    configured amplitude mode, then per SNR add noise once; every degree
-    is estimated on that same observation. With ``per_block`` observations
-    of about BLOCK_ENTRIES channel entries (at least one), a block is either
-    ``per_block // n_snr`` whole trials, or, when one trial is larger, a run
-    of ``per_block`` SNRs of one trial. Each block takes one ``synth_batch``
-    of its trials and one ``ppe.estimate`` per degree set; the block size
-    changes no draw and no bit of any result. The CRB column uses the
-    degree-set cardinality as the parameter count.
+    configured amplitude mode, then per SNR add noise once; LS (the
+    observation itself) and then PPE per degree reconstruct that same
+    observation. With ``per_block`` observations of about BLOCK_ENTRIES
+    channel entries (at least one), a block is either ``per_block // n_snr``
+    whole trials, or, when one trial is larger, a run of ``per_block`` SNRs
+    of one trial, and takes one ``synth_batch`` and one call per estimator;
+    the block size changes no draw and no bit of any result. The CRB column
+    uses the degree-set cardinality as the parameter count.
     """
     spec = config.spec
     degree_sets = [build_degree_set(L, spec) for L in config.degree_list]
+    # block of observations -> its reconstructions; ppe's names are looked up per call
+    estimators = [lambda y: y] + [lambda y, ds=ds: ppe.reconstruct(ppe.estimate(y, ds))
+                                  for ds in degree_sets]
     n_snr = len(config.snr_grid)
-    n_deg = len(config.degree_list)
     unit = config.amplitude_mode == "unit"
     sigmas = [_noise_sigma(snr) for snr in config.snr_grid]
     per_block = max(1, BLOCK_ENTRIES // spec.size)
     step, run = max(1, per_block // n_snr), min(n_snr, per_block)
 
-    mse = np.empty((config.trials, n_snr, n_deg))
-    ls = np.empty((config.trials, n_snr))
+    mse = np.empty((config.trials, n_snr, len(estimators)))
     for lo in range(0, config.trials, step):
         rngs = [np.random.default_rng((config.seed, t))
                 for t in range(lo, min(lo + step, config.trials))]
@@ -174,40 +177,33 @@ def run_mse_sweep(config: ExperimentConfig) -> ExperimentReport:
             # them measured slower (more page faults) and 0.6 MB larger in peak RSS
             y = np.stack(y) if len(y) > 1 else y[0][None]
             cell = (slice(lo, lo + len(rngs)), slice(s, s + run))
-            ls[cell] = _row_mse(y, truth, len(spec.shape))
-            for j, ds in enumerate(degree_sets):
-                model = ppe.estimate(y, ds)
-                mse[cell + (j,)] = _row_mse(ppe.reconstruct(model), truth, len(spec.shape))
+            for j, estimator in enumerate(estimators):
+                mse[cell + (j,)] = _row_mse(estimator(y), truth, len(spec.shape))
 
-    mse_db = mle.to_db(np.mean(mse, axis=0))
-    ls_db = mle.to_db(np.mean(ls, axis=0))
-    crb_db = np.empty((n_snr, n_deg))
-    for j, ds in enumerate(degree_sets):
-        for i, snr in enumerate(config.snr_grid):
-            crb_db[i, j] = crb_asymptote(len(ds), spec.size, snr)
-
+    table = mle.to_db(np.mean(mse, axis=0))
+    crb_db = np.array([[crb_asymptote(len(ds), spec.size, snr) for ds in degree_sets]
+                       for snr in config.snr_grid])
     report = ExperimentReport(
         snr_db=np.asarray(config.snr_grid, dtype=float),
         degree_list=config.degree_list,
-        mse_db=mse_db,
+        mse_db=table[:, 1:],
         crb_db=crb_db,
-        ls_db=ls_db,
+        ls_db=table[:, 0],
     )
-    for i, snr in enumerate(config.snr_grid):
-        if snr < 20.0:
-            continue
-        for j, L in enumerate(config.degree_list):
-            if mse_db[i, j] > crb_db[i, j] + 10.0:
+    for snr, mse_row, crb_row in zip(config.snr_grid, report.mse_db, crb_db):
+        for L, m, c in zip(config.degree_list, mse_row, crb_row):
+            if snr >= 20.0 and m > c + 10.0:
                 report.warnings.append(
-                    f"degree {L} at {snr:g} dB: MSE {mse_db[i, j]:.2f} dB exceeds "
+                    f"degree {L} at {snr:g} dB: MSE {m:.2f} dB exceeds "
                     f"10x the CRB asymptote (possible wrap slips or model mismatch)"
                 )
     return report
 
 
 def _pilot_indices(extent: int, count: int) -> np.ndarray:
-    idx = np.unique(np.round(np.linspace(0, extent - 1, count)).astype(int))
-    if idx.size != count:
+    # linspace increases, so a step below one repeats an index (np.unique imports numpy.ma)
+    idx = np.round(np.linspace(0, extent - 1, count)).astype(int)
+    if np.any(np.diff(idx) < 1):
         raise ValueError(f"cannot place {count} distinct pilots on extent {extent}")
     return idx
 

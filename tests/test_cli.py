@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nearwave
-from nearwave import chanfile
+from nearwave import chanfile, mle
 from nearwave.cli import _median, main, parse_config
 
 
@@ -298,6 +298,7 @@ BOUNDARY_CASES = [
     (["synth", "--preset", "ula8-single"], "pose_r = 1e200 0 0\n", "translation must be"),
     (["synth", "--preset", "ula8-single"], "pose_r = 1e-200 0 0\n", "and so its squared length"),
     (["landscape"], "d_true = 1e200\n", "translation must be"),
+    (["mse", "--preset", "fig5a"], "degree_list = 2 2\n", "degree_list repeats a degree"),
 ]
 
 
@@ -311,6 +312,18 @@ def test_bad_setting_exit_2(tmp_path, capsys, argv, config, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.glob("*.meta"))
+
+
+def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # raised, not provoked: whether a huge allocation fails depends on the host
+    def landscape_scan(**kwargs):
+        raise MemoryError("Unable to allocate 5.82 TiB for an array")
+
+    monkeypatch.setattr(mle, "landscape_scan", landscape_scan)
+    assert main(["landscape", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
     assert not list(tmp_path.glob("*.meta"))
 
 

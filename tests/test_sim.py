@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +136,16 @@ def test_run_mse_sweep_blocks_change_no_bit(monkeypatch):
             assert np.array_equal(getattr(report, name), getattr(default, name))
 
 
+def test_run_mse_sweep_ls_only():
+    cfg = ExperimentConfig(spec=SPEC_PRESETS["ula8-single"], snr_grid=(0.0, 10.0, 20.0),
+                           degree_list=(), trials=7, seed=5)
+    report = run_mse_sweep(cfg)
+    assert report.mse_db.shape == report.crb_db.shape == (3, 0)
+    assert report.mse_csv_rows()[0] == ["snr_db"]
+    assert report.crb_csv_rows()[0] == ["snr_db", "ls_db"]
+    assert np.array_equal(report.ls_db, sweep_by_loop(cfg)[1])
+
+
 def test_run_mse_sweep_memory_does_not_grow_with_snrs(monkeypatch):
     spec = SPEC_PRESETS["ula32-ula32"]
     monkeypatch.setattr(sim, "BLOCK_ENTRIES", spec.size)
@@ -244,6 +258,21 @@ def test_pilot_subsample_counts():
 def test_pilot_placement_rejects_what_it_cannot_place(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_estimate_from_pilots_never_imports_numpy_ma():
+    # a fresh interpreter, in which np.unique would import numpy.ma on first use
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from nearwave.sim import estimate_from_pilots\n"
+            "y = np.exp(2j * np.pi * 0.01 * np.arange(32.0) ** 2).reshape(1, 1, 32, 1, 1)\n"
+            "estimate_from_pilots(y, 2)\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    src = str(Path(sim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_estimate_from_pilots_exact_on_polynomial_truth():

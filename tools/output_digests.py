@@ -10,10 +10,11 @@ with that checkout's ``src`` on PYTHONPATH, and ``diff`` the two outputs:
 equal lines mean byte-identical data files and ``.meta`` sidecars. The calls
 are the ``synth``, ``estimate``, ``mse``, ``mle`` and ``landscape`` runs
 below, at seeds 0 and 4; the ``estimate`` runs reach degree 2 on a planar
-link and degree 3 on 32 frequencies. Sidecar lines that echo the ``config``
-or ``input`` path are left out of the digest, because those paths name this
-run's own files. ``--keep DIR`` writes the outputs into DIR, a new
-directory, instead of a temporary one.
+link and degree 3 on 32 frequencies, and one ``mse`` run lists its degrees
+and SNRs out of order. Sidecar lines that echo the ``config`` or ``input``
+path are left out of the digest, because those paths name this run's own
+files. ``--keep DIR`` writes the outputs into DIR, a new directory, instead
+of a temporary one.
 
 ``--compare`` reads two kept directories and prints, for every column of
 every CSV file, ``identical`` or the largest absolute difference between
@@ -56,6 +57,9 @@ def calls(root: str, seed: int):
                            ("upa-desk", 2)):
         out.append((f"mse-{preset}",
                     ["mse", "--preset", preset, "--trials", str(trials), *s], None))
+    # degrees and SNRs out of their default order, so a column mix-up shows
+    out.append(("mse-fig5a-order", ["mse", "--preset", "fig5a", "--trials", "20", *s],
+                "degree_list = 3 1\nsnr_grid = 20 0 10\n"))
     for preset in ("fig3f", "fig3c", "fig3a"):
         out.append((f"mle-{preset}", ["mle", "--preset", preset, *s], "iterations = 3\n"))
     out.append(("landscape-fig9", ["landscape", "--preset", "fig9"], None))
