@@ -69,12 +69,11 @@ class MleConfig:
             raise ValueError("num_starts must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Cost history of one optimizer start.
 
     ``costs_db`` has length iterations + 1 (the initial cost is included).
-    ``converged`` is set by the caller, relative to the genie proxy;
     ``diverged`` marks a non-finite cost or gradient encountered during the
     run. ``final_grad_norm`` is the norm of the (r, omega) gradient of the
     last update, NaN for a diverged start.
@@ -82,7 +81,6 @@ class Trajectory:
 
     costs_db: np.ndarray
     final_pose: GeometryPose | None
-    converged: bool = False
     diverged: bool = False
     final_cost: float = field(default=float("nan"))
     final_grad_norm: float = field(default=float("nan"))

@@ -13,7 +13,7 @@ SNRs; the block size changes no draw and no bit of any result.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,10 +30,20 @@ SCHEMA_VERSION = 1
 BLOCK_ENTRIES = 4096
 
 
-def _noise_sigma(snr_db: float) -> float:
-    """Standard deviation of each of the real and imaginary noise parts at ``snr_db``."""
+def _check_snr(snr_db: float) -> None:
+    """Raise ValueError unless ``snr_db`` is finite and 10 ** (|snr_db| / 10) a finite double."""
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
+    try:
+        10.0 ** (abs(float(snr_db)) / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db = {snr_db:g} is out of range: "
+                         "|snr_db| must be at most about 3082.5 dB") from None
+
+
+def _noise_sigma(snr_db: float) -> float:
+    """Standard deviation of each of the real and imaginary noise parts at ``snr_db``."""
+    _check_snr(snr_db)
     return np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
 
 
@@ -78,11 +88,11 @@ def _row_mse(h_hat: np.ndarray, h: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def crb_asymptote(num_params: int, num_entries: int, snr_db: float) -> float:
-    """High-SNR per-entry MSE floor in dB: 10 log10(M / (2 N SNR))."""
+    """High-SNR per-entry MSE floor in dB: 10 log10(M / (2 N SNR)), through ``mle.to_db``."""
     if num_params < 1 or num_entries < 1:
         raise ValueError("num_params and num_entries must be >= 1")
-    snr = 10.0 ** (snr_db / 10.0)
-    return 10.0 * np.log10(num_params / (2.0 * num_entries * snr))
+    _check_snr(snr_db)
+    return mle.to_db(num_params / (2.0 * num_entries * 10.0 ** (snr_db / 10.0)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
     """Per-SNR MSE statistics with CRB asymptotes and the LS reference."""
 
@@ -125,7 +135,7 @@ class ExperimentReport:
     mse_db: np.ndarray  # (n_snr, n_degrees)
     crb_db: np.ndarray  # (n_snr, n_degrees)
     ls_db: np.ndarray  # (n_snr,)
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
     def _csv_rows(self, columns, table):
         """Header and rows: snr_db, then ``columns`` read from the rows of ``table``."""
@@ -183,21 +193,15 @@ def run_mse_sweep(config: ExperimentConfig) -> ExperimentReport:
     table = mle.to_db(np.mean(mse, axis=0))
     crb_db = np.array([[crb_asymptote(len(ds), spec.size, snr) for ds in degree_sets]
                        for snr in config.snr_grid])
-    report = ExperimentReport(
-        snr_db=np.asarray(config.snr_grid, dtype=float),
-        degree_list=config.degree_list,
-        mse_db=table[:, 1:],
-        crb_db=crb_db,
-        ls_db=table[:, 0],
-    )
-    for snr, mse_row, crb_row in zip(config.snr_grid, report.mse_db, crb_db):
+    warnings = []
+    for snr, mse_row, crb_row in zip(config.snr_grid, table[:, 1:], crb_db):
         for L, m, c in zip(config.degree_list, mse_row, crb_row):
             if snr >= 20.0 and m > c + 10.0:
-                report.warnings.append(
-                    f"degree {L} at {snr:g} dB: MSE {m:.2f} dB exceeds "
-                    f"10x the CRB asymptote (possible wrap slips or model mismatch)"
-                )
-    return report
+                warnings.append(f"degree {L} at {snr:g} dB: MSE {m:.2f} dB exceeds "
+                                f"10x the CRB asymptote (possible wrap slips or model mismatch)")
+    return ExperimentReport(snr_db=np.asarray(config.snr_grid, dtype=float),
+                            degree_list=config.degree_list, mse_db=table[:, 1:],
+                            crb_db=crb_db, ls_db=table[:, 0], warnings=warnings)
 
 
 def _pilot_indices(extent: int, count: int) -> np.ndarray:
@@ -248,7 +252,7 @@ def estimate_from_pilots(y: np.ndarray, max_degree: int):
                                  degree_set_for_shape(max_degree, y.shape))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryExperiment:
     """Multi-start descent curves plus the genie proxy for one observation."""
 
@@ -260,28 +264,23 @@ class TrajectoryExperiment:
         return mle.by_final_cost(self.starts)
 
     def converged_fraction(self) -> float:
-        """Fraction of starts whose final cost is within 1 dB of the proxy."""
-        return float(np.mean([tr.converged for tr in self.starts]))
+        """Fraction of starts whose final cost is within 1 dB of the proxy's."""
+        return float(np.mean([tr.costs_db[-1] <= self.proxy.costs_db[-1] + 1.0
+                              for tr in self.starts]))
 
 
 def run_trajectory_experiment(spec: ArraySpec, config: mle.MleConfig,
-                              snr_db: float = 10.0, seed: int = 0,
-                              pose: GeometryPose | None = None) -> TrajectoryExperiment:
-    """Multi-start descent on one noisy observation of a fixed pose.
+                              snr_db: float = 10.0, seed: int = 0) -> TrajectoryExperiment:
+    """Multi-start descent on one noisy observation of the receive array broadside at 10 m.
 
-    The default pose places the receive array broadside at 10 m. The genie
-    start (initialized at the true pose) is optimized alongside the random
-    starts and reported separately as the proxy.
+    The genie start (initialized at the true pose) is optimized alongside the
+    random starts and reported separately as the proxy.
     """
-    if pose is None:
-        pose = GeometryPose(r=np.array([0.0, 0.0, 10.0]), R=np.eye(3))
+    pose = GeometryPose(r=np.array([0.0, 0.0, 10.0]), R=np.eye(3))
     rng = np.random.default_rng((seed, 0))
     y = add_noise(synth(spec, pose), snr_db, rng)
     inits = [sample_pose(rng) for _ in range(config.num_starts)]
     inits.append(pose)
     *starts, proxy = mle.optimize(y, spec, config, inits)[1]
-    for tr in starts:
-        tr.converged = bool(tr.costs_db[-1] <= proxy.costs_db[-1] + 1.0)
-    proxy.converged = True
     return TrajectoryExperiment(proxy=proxy, starts=starts)
 

@@ -299,6 +299,9 @@ BOUNDARY_CASES = [
     (["synth", "--preset", "ula8-single"], "pose_r = 1e-200 0 0\n", "and so its squared length"),
     (["landscape"], "d_true = 1e200\n", "translation must be"),
     (["mse", "--preset", "fig5a"], "degree_list = 2 2\n", "degree_list repeats a degree"),
+    (["mse", "--preset", "fig5a"], "snr_grid = 4000\n", "snr_db = 4000 is out of range"),
+    (["mse", "--preset", "fig5a"], "snr_grid = -4000\n", "snr_db = -4000 is out of range"),
+    (["mle", "--preset", "fig3a"], "snr_db = -4000\n", "snr_db = -4000 is out of range"),
 ]
 
 

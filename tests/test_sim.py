@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nearwave.geometry import ArraySpec, sample_pose, synth
+from nearwave.geometry import ArraySpec, GeometryPose, sample_pose, synth
 from nearwave.mle import MleConfig
 from nearwave import mle, sim
 from nearwave.ppe import estimate, reconstruct
@@ -82,6 +83,13 @@ def test_crb_asymptote_values():
     assert crb_asymptote(3, 32, 20.0) == pytest.approx(-33.29, abs=0.005)
     with pytest.raises(ValueError):
         crb_asymptote(0, 32, 20.0)
+
+
+def test_crb_asymptote_floors_at_minus_300_db_and_rejects_an_overflowing_snr():
+    assert crb_asymptote(3, 32, 400.0) == -300.0
+    for snr_db in (4000.0, -4000.0):
+        with pytest.raises(ValueError, match=f"snr_db = {snr_db:g} is out of range"):
+            crb_asymptote(3, 32, snr_db)
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +323,40 @@ def test_trajectory_experiment_deterministic():
     assert np.array_equal(a.proxy.costs_db, b.proxy.costs_db)
     for ta, tb in zip(a.starts, b.starts):
         assert np.array_equal(ta.costs_db, tb.costs_db)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: run_mse_sweep(ExperimentConfig(spec=ArraySpec.half_wavelength(ntx=8),
+                                            snr_grid=(20.0,), degree_list=(1,), trials=1)),
+     "warnings"),
+    (lambda: run_trajectory_experiment(ArraySpec.half_wavelength(ntx=2),
+                                       MleConfig(num_starts=2, iterations=2)), "starts"),
+    (lambda: run_trajectory_experiment(ArraySpec.half_wavelength(ntx=2),
+                                       MleConfig(num_starts=2, iterations=2)).proxy, "diverged"),
+], ids=["ExperimentReport", "TrajectoryExperiment", "Trajectory"])
+def test_results_reject_assignment(build, name):
+    result = build()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(result, name, getattr(result, name))
+
+
+def test_converged_fraction_is_the_share_of_starts_within_1_db_of_the_proxy():
+    spec = ArraySpec.half_wavelength(ntx=2)
+    config = MleConfig(num_starts=8, iterations=20)
+
+    def share(experiment):
+        return np.mean([tr.costs_db[-1] <= experiment.proxy.costs_db[-1] + 1.0
+                        for tr in experiment.starts])
+
+    result = run_trajectory_experiment(spec, config, snr_db=10.0, seed=3)
+    assert 0.0 < share(result) < 1.0
+    assert result.converged_fraction() == share(result)
+    # trajectories straight from the optimizer, the genie start last, read the same
+    truth = GeometryPose(r=np.array([0.0, 0.0, 10.0]), R=np.eye(3))
+    rng = np.random.default_rng(6)
+    y = add_noise(synth(spec, truth), 10.0, rng)
+    inits = [sample_pose(rng) for _ in range(config.num_starts)] + [truth]
+    *starts, proxy = mle.optimize(y, spec, config, inits)[1]
+    direct = sim.TrajectoryExperiment(proxy=proxy, starts=starts)
+    assert 0.0 < share(direct) < 1.0
+    assert direct.converged_fraction() == share(direct)
