@@ -238,6 +238,8 @@ def main(argv=None) -> int:
     """Run one subcommand, write the sidecar of its data file and print the file's path."""
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         path, extra = _COMMANDS[args.command](args)
         chanfile.write_metadata(chanfile.sidecar_path(path), _base_metadata(args, **extra))
     except (ConfigError, ValueError, mle.DivergedError) as exc:

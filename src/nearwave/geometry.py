@@ -135,8 +135,9 @@ def geometric_parameter_count(tx_topology: str, rx_topology: str) -> int:
 class GeometryPose:
     """Rigid placement of the receive array: translation ``r`` and rotation ``R``.
 
-    ``R`` must be orthonormal with determinant +1 (tolerance 1e-12) and
-    ``r`` of length about 1e-161 to 1e154 m, so that its square is nonzero and finite.
+    Every entry of R^T R - I, and det R - 1, must be within 1e-12, checked in Python floats
+    (whose rounding can move a verdict only within about 1e-16 of that bound), and ``r``
+    of length about 1e-161 to 1e154 m, so that its square is nonzero and finite.
     """
 
     r: np.ndarray
@@ -145,14 +146,15 @@ class GeometryPose:
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float).reshape(3)
         R = np.asarray(self.R, dtype=float).reshape(3, 3)
-        # written so that NaN and infinity fail each comparison
-        if not np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-12:
+        ((a, b, c), (d, e, f), (g, h, i)), (x, y, z) = R.tolist(), r.tolist()
+        # the upper triangle of the symmetric R^T R - I; NaN and infinity fail each comparison
+        gram = (a * a + d * d + g * g - 1.0, a * b + d * e + g * h, a * c + d * f + g * i,
+                b * b + e * e + h * h - 1.0, b * c + e * f + h * i, c * c + f * f + i * i - 1.0)
+        if not all(abs(entry) <= 1e-12 for entry in gram):
             raise ValueError("R is not a finite orthonormal matrix")
-        if not abs(np.linalg.det(R) - 1.0) <= 1e-12:
+        if not abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) <= 1e-12:
             raise ValueError("R must have determinant +1")
-        with np.errstate(over="ignore"):
-            length = np.linalg.norm(r)
-        if not 0.0 < length < math.inf:
+        if not 0.0 < x * x + y * y + z * z < math.inf:
             raise ValueError("translation must be nonzero and finite, and so its squared length")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "R", R)
@@ -262,7 +264,7 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform rotation from a normalized 4-component Gaussian quaternion."""
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
-    w, x, y, z = q
+    w, x, y, z = q.tolist()
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
@@ -290,7 +292,7 @@ def sample_pose(rng: np.random.Generator, rmin: float = 5.0, rmax: float = 15.0,
         radius = rng.uniform(rmin, rmax)
     else:
         raise ValueError(f"unknown shell measure: {measure!r}")
-    direction = np.zeros(3)
+    direction = rng.normal(size=3)
     while (norm := np.linalg.norm(direction)) < 1e-12:
         direction = rng.normal(size=3)
     return GeometryPose(r=radius * direction / norm, R=random_rotation(rng))

@@ -266,18 +266,13 @@ def optimize(y, spec: ArraySpec, config: MleConfig, init_poses):
     grad_norm = np.where(frozen, np.nan, np.linalg.norm(grad, axis=1))
 
     rotations = base_rotations @ rotation_from_tangent_batch(params[:, 3:])
-    trajectories = []
-    for s in range(S):
-        pose = None
-        if np.all(np.isfinite(params[s])) and 0.0 < np.linalg.norm(params[s, :3]) < np.inf:
-            pose = GeometryPose(r=params[s, :3], R=rotations[s])
-        trajectories.append(Trajectory(
-            costs_db=to_db(costs[:, s]),
-            final_pose=pose,
-            diverged=bool(frozen[s]),
-            final_cost=float(final[s]),
-            final_grad_norm=float(grad_norm[s]),
-        ))
+    lengths = np.linalg.norm(params[:, :3], axis=1)
+    placed = np.all(np.isfinite(params), axis=1) & (0.0 < lengths) & (lengths < np.inf)
+    costs_db = np.ascontiguousarray(to_db(costs).T)
+    poses = [GeometryPose(r=params[s, :3], R=rotations[s]) if placed[s] else None for s in range(S)]
+    trajectories = [Trajectory(costs_db=costs_db[s], final_pose=poses[s], diverged=bool(frozen[s]),
+                               final_cost=float(final[s]), final_grad_norm=float(grad_norm[s]))
+                    for s in range(S)]
     usable = [tr for tr in trajectories if not tr.diverged and tr.final_pose is not None]
     if not usable:
         raise DivergedError("every start diverged: a non-finite cost or gradient; "

@@ -302,6 +302,9 @@ BOUNDARY_CASES = [
     (["mse", "--preset", "fig5a"], "snr_grid = 4000\n", "snr_db = 4000 is out of range"),
     (["mse", "--preset", "fig5a"], "snr_grid = -4000\n", "snr_db = -4000 is out of range"),
     (["mle", "--preset", "fig3a"], "snr_db = -4000\n", "snr_db = -4000 is out of range"),
+    (["mse", "--preset", "fig5a", "--seed", "-1"], None, "--seed must be >= 0"),
+    (["mle", "--preset", "fig3a", "--seed", "-1"], None, "--seed must be >= 0"),
+    (["synth", "--preset", "ula8-single", "--seed", "-1"], None, "--seed must be >= 0"),
 ]
 
 

@@ -513,3 +513,85 @@ def test_pose_validation():
     bad[0, 1] = 1e-6
     with pytest.raises(ValueError):
         GeometryPose(r=np.array([0, 0, 1.0]), R=bad)
+
+
+def replayed_rotation(rng):
+    """The quaternion draw and formula of random_rotation, in numpy scalars."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sample_pose_draw_order(seed):
+    # the radius, then the direction, then the quaternion, each from one draw
+    pose = sample_pose(np.random.default_rng(seed), 5.0, 15.0)
+    replay = np.random.default_rng(seed)
+    radius = replay.uniform(5.0**3, 15.0**3) ** (1.0 / 3.0)
+    direction = replay.normal(size=3)
+    r = radius * direction / np.linalg.norm(direction)
+    assert pose.r.tobytes() == r.tobytes()
+    assert pose.R.tobytes() == replayed_rotation(replay).tobytes()
+
+
+class ZeroFirstDirection:
+    """A generator whose first 3-vector normal draw reads zeros; it logs every draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def uniform(self, low, high):
+        self.draws.append("uniform")
+        return self.rng.uniform(low, high)
+
+    def normal(self, size):
+        self.draws.append(f"normal({size})")
+        value = self.rng.normal(size=size)
+        return np.zeros(3) if self.draws.count("normal(3)") == 1 and size == 3 else value
+
+
+def test_sample_pose_redraws_a_zero_direction():
+    rng = ZeroFirstDirection(3)
+    pose = sample_pose(rng, 5.0, 15.0, measure="radius")
+    assert rng.draws == ["uniform", "normal(3)", "normal(3)", "normal(4)"]
+    replay = np.random.default_rng(3)
+    radius = replay.uniform(5.0, 15.0)
+    replay.normal(size=3)  # the draw that read zeros
+    direction = replay.normal(size=3)
+    assert pose.r.tobytes() == (radius * direction / np.linalg.norm(direction)).tobytes()
+    assert pose.R.tobytes() == replayed_rotation(replay).tobytes()
+
+
+# a stray numpy warning on the way to a verdict fails the test
+@pytest.mark.filterwarnings("error")
+def test_pose_check_verdicts_at_the_edges():
+    z = np.array([0.0, 0.0, 1.0])
+    R = np.eye(3)
+    R[0, 1] = 2e-12
+    with pytest.raises(ValueError, match="orthonormal"):
+        GeometryPose(r=z, R=R)
+    R[0, 1] = 5e-13
+    assert GeometryPose(r=z, R=R).R[0, 1] == 5e-13
+    with pytest.raises(ValueError, match="determinant"):
+        GeometryPose(r=z, R=np.diag([1.0, -1.0, 1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in ((0, 0), (1, 2)):
+            R = np.eye(3)
+            R[entry] = bad
+            with pytest.raises(ValueError, match="orthonormal"):
+                GeometryPose(r=z, R=R)
+        r = z.copy()
+        r[1] = bad
+        with pytest.raises(ValueError, match="translation"):
+            GeometryPose(r=r, R=np.eye(3))
+    # the squared length must be nonzero and finite
+    assert GeometryPose(r=[1e154, 0.0, 0.0], R=np.eye(3)).r[0] == 1e154
+    for length in (1e155, 1e-162):
+        with pytest.raises(ValueError, match="translation"):
+            GeometryPose(r=[length, 0.0, 0.0], R=np.eye(3))

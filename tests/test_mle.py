@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,6 +290,32 @@ def test_optimize_batch_equals_loop(monkeypatch, variant):
         assert np.array_equal(together.final_pose.r, alone.final_pose.r)
         assert np.array_equal(together.final_pose.R, alone.final_pose.R)
         assert together.final_grad_norm == alone.final_grad_norm
+
+
+def test_optimize_trajectories_hold_each_start_column(monkeypatch):
+    passes = []
+    cost_pass = mle._cost_pass
+
+    def recorded(*args, **kwargs):
+        cost = cost_pass(*args, **kwargs)
+        passes.append(cost.copy())
+        return cost
+
+    monkeypatch.setattr(mle, "_cost_pass", recorded)
+    rng = np.random.default_rng(8)
+    y = add_noise(synth(SPEC, TRUTH), 10.0, rng)
+    # stand-ins GeometryPose refuses: a NaN translation, and a finite one whose length overflows
+    nan_start = SimpleNamespace(r=np.array([np.nan, 0.0, 9.0]), R=np.eye(3))
+    far_start = SimpleNamespace(r=np.array([1e200, 1e200, 0.0]), R=np.eye(3))
+    inits = [sample_pose(rng) for _ in range(3)] + [nan_start, far_start]
+    config = MleConfig(num_starts=len(inits), iterations=4)
+    _, trajectories = optimize(y, SPEC, config, inits)
+    costs = np.stack(passes)
+    assert costs.shape == (config.iterations + 1, len(inits))
+    for s, tr in enumerate(trajectories):
+        assert tr.costs_db.tobytes() == mle.to_db(costs[:, s]).tobytes()
+    assert [tr.final_pose is None for tr in trajectories] == [False] * 3 + [True] * 2
+    assert [tr.diverged for tr in trajectories] == [False] * 3 + [True] * 2
 
 
 def test_optimize_keeps_no_buffer():
