@@ -26,6 +26,7 @@ from .wavefront import (
     basis_on_lattice,  # re-exported: callers look it up as ppe.basis_on_lattice
     basis_on_support,
     binomial,
+    degree_rows,
     fit_on_grid,
     term_order,
 )
@@ -156,28 +157,10 @@ def _shared_differences(signal: np.ndarray, ms, first_axis: int):
         yield stack[-1]
 
 
-def _degree_rows(degrees, shape) -> np.ndarray:
-    """``degrees`` as 2-D int multi-index rows over the trailing axes of ``shape``, checked."""
-    try:
-        rows = np.asarray(degrees, dtype=int)
-    except (TypeError, ValueError):  # None, ragged rows, entries that are not numbers
-        rows = np.empty(0, dtype=int)
-    if rows.ndim != 2:
-        raise ValueError("degrees must be a 2-D array of multi-index rows")
-    if rows.shape[1] > len(shape):
-        raise ValueError(f"degree multi-indices have {rows.shape[1]} axes, "
-                         f"more than the {len(shape)} available")
-    if np.any(rows < 0) or np.any(rows >= np.asarray(shape[len(shape) - rows.shape[1]:])):
-        raise ValueError("every degree must satisfy 0 <= m_d < N_d")
-    if len(set(map(tuple, rows.tolist()))) != len(rows):
-        raise ValueError("degree multi-indices must not repeat: a repeat counts once per copy")
-    return rows
-
-
 def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     """Estimate polynomial phase coefficients from the phases of ``y`` by sequential peeling.
 
-    ``degrees`` is a 2-D int array-like of multi-index rows; terms are
+    ``degrees`` is a 2-D int array-like of distinct multi-index rows; terms are
     processed in descending total degree (lexicographic tie-break). Each
     coefficient is recovered modulo one cycle of the differenced lattice.
     The lattice is the trailing axes of ``y``, one per multi-index entry;
@@ -186,7 +169,7 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     ``batch + (terms,)``. Every entry of ``y`` needs a finite nonzero modulus.
     """
     y = np.asarray(y, dtype=complex)
-    rows = _degree_rows(degrees, y.shape)
+    rows = degree_rows(degrees, y.shape)
     batch, lattice = y.shape[:y.ndim - rows.shape[1]], y.shape[y.ndim - rows.shape[1]:]
     order = sorted(range(rows.shape[0]), key=lambda i: term_order(rows[i]), reverse=True)
     levels = [[(i, tuple(int(v) for v in rows[i])) for i in level]
@@ -237,7 +220,7 @@ def expand_to_lattice(model: PolyPhaseModel, coords, full_shape, degrees) -> Pol
             raise ValueError("coords must match the sublattice shape")
         if np.any(c < 0) or np.any(c >= n_full):
             raise ValueError("coords out of range of the full lattice")
-    rows = _degree_rows(degrees, full_shape)
+    rows = degree_rows(degrees, full_shape)
     if rows.shape[1] != len(full_shape):
         raise ValueError("degree multi-indices must match the lattice rank")
     m_max = np.maximum(rows.max(axis=0), model.degrees.max(axis=0))

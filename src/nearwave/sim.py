@@ -74,8 +74,7 @@ def add_noise(h: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndar
 
 def per_entry_mse(h_hat: np.ndarray, h: np.ndarray) -> float:
     """Average squared entry error |h_hat - h|^2 over the tensor."""
-    h_hat = np.asarray(h_hat)
-    h = np.asarray(h)
+    h_hat, h = np.asarray(h_hat), np.asarray(h)
     if h_hat.shape != h.shape:
         raise ValueError(f"shape mismatch: {h_hat.shape} vs {h.shape}")
     return float(_row_mse(h_hat, h, h.ndim))
@@ -111,6 +110,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.amplitude_mode not in ("unit", "exact"):
             raise ValueError("amplitude_mode must be 'unit' or 'exact'")
         if not self.snr_grid:

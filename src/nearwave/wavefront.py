@@ -203,9 +203,27 @@ def basis_on_support(shape: tuple[int, ...], m: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def degree_rows(degrees, shape) -> np.ndarray:
+    """``degrees`` as 2-D int multi-index rows over the trailing axes of ``shape``, checked."""
+    try:
+        rows = np.asarray(degrees, dtype=int)
+    except (TypeError, ValueError):  # None, ragged rows, entries that are not numbers
+        rows = np.empty(0, dtype=int)
+    if rows.ndim != 2:
+        raise ValueError("degrees must be a 2-D array of multi-index rows")
+    if rows.shape[1] > len(shape):
+        raise ValueError(f"degree multi-indices have {rows.shape[1]} axes, "
+                         f"more than the {len(shape)} available")
+    if np.any(rows < 0) or np.any(rows >= np.asarray(shape[len(shape) - rows.shape[1]:])):
+        raise ValueError("every degree must satisfy 0 <= m_d < N_d")
+    if len(set(map(tuple, rows.tolist()))) != len(rows):
+        raise ValueError("degree multi-indices must not repeat: each row names one term")
+    return rows
+
+
 @dataclass(frozen=True)
 class PolyPhaseModel:
-    """Polynomial phase model: degrees and real coefficients in cycles.
+    """Polynomial phase model: distinct degree rows and real coefficients in cycles.
 
     The modeled tensor is ``exp(j * 2 pi * phase_cycles())`` over ``shape``.
     ``coeffs`` has shape ``batch + (terms,)``: leading axes, if any, index
@@ -223,10 +241,8 @@ class PolyPhaseModel:
             raise ValueError("coeffs must end in one axis of one entry per degree row")
         if degrees.ndim != 2 or degrees.shape[1] != len(self.shape):
             raise ValueError("degree multi-indices must match the lattice rank")
-        if np.any(degrees < 0) or np.any(degrees >= np.asarray(self.shape)):
-            raise ValueError("every degree must satisfy 0 <= m_d < N_d componentwise")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "degrees", degree_rows(degrees, self.shape))
         object.__setattr__(self, "coeffs", coeffs)
 
     def _unbatched(self, what: str) -> None:
@@ -252,7 +268,7 @@ class PolyPhaseModel:
         """
         batch = self.coeffs.shape[:-1]
         out = np.zeros(batch + tuple(self.degrees.max(axis=0, initial=0) + 1))
-        np.add.at(out, (...,) + tuple(self.degrees.T), self.coeffs)
+        out[(...,) + tuple(self.degrees.T)] = self.coeffs
         for axis in reversed(range(len(self.shape))):  # the largest expansion runs along axis 0
             at, n = len(batch) + axis, self.shape[axis]
             if out.shape[at] == 1:

@@ -305,6 +305,7 @@ BOUNDARY_CASES = [
     (["mse", "--preset", "fig5a", "--seed", "-1"], None, "--seed must be >= 0"),
     (["mle", "--preset", "fig3a", "--seed", "-1"], None, "--seed must be >= 0"),
     (["synth", "--preset", "ula8-single", "--seed", "-1"], None, "--seed must be >= 0"),
+    (["mse", "--preset", "fig5a"], "seed = -1\n", "seed must be >= 0"),
 ]
 
 

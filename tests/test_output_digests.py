@@ -72,3 +72,17 @@ def test_compare_exits_1_unless_every_line_is_identical(tmp_path):
     write(b, "0-only/table.csv", "x\n1\n")
     assert exit_code(a, b) == 1
     assert exit_code(a, tmp_path / "missing") == 2  # a mistyped directory is no pass
+
+
+PINNED = Path(__file__).resolve().parents[1] / "tools" / "output_digests.txt"
+
+
+def test_output_bytes_match_the_pinned_digests(capsys):
+    output_digests.main([])
+    lines = capsys.readouterr().out.splitlines()
+    text = PINNED.read_text().splitlines()
+    made_with = [line for line in text if line.startswith("# made with")]
+    pinned = [line for line in text if not line.startswith("#")]
+    moved = sorted({" ".join(line.split()[:2]) for line in set(lines) ^ set(pinned)})
+    assert lines == pinned, (f"the files of these (seed, call) pairs moved: {moved}\n"
+                             f"pinned {made_with}\nrunning {output_digests.versions()}")

@@ -213,6 +213,7 @@ def batched_model():
     ([[4], [0]], "0 <= m_d < N_d"),
     ([[1, 0], [0, 0]], "match the lattice rank"),
     ([1, 0], "match the lattice rank"),
+    ([[1], [1]], "must not repeat"),
 ])
 def test_poly_phase_model_checks_each_degree_row(degrees, message):
     with pytest.raises(ValueError, match=message):
@@ -245,12 +246,12 @@ def phase_by_terms(model):
 def batched_models(draw):
     """A model on a lattice of rank 1 to 5 with extents 1 to 4, under 0 to 2 batch axes.
 
-    Up to 8 degree rows, repeats allowed (repeated rows add), coefficients in cycles in
-    [-0.5, 0.5], as ``estimate`` returns them; so the phase stays below 1000 cycles.
+    Up to 8 distinct degree rows, coefficients in cycles in [-0.5, 0.5], as ``estimate``
+    returns them; so the phase stays below 1000 cycles.
     """
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
     row = st.tuples(*[st.integers(0, n - 1) for n in shape])
-    degrees = np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=int)
+    degrees = np.array(draw(st.lists(row, min_size=1, max_size=8, unique=True)), dtype=int)
     batch = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = rng.uniform(-0.5, 0.5, size=batch + (len(degrees),))
@@ -266,6 +267,9 @@ def test_phase_cycles_matches_term_sum_and_batch_equals_loop(model):
     for idx in np.ndindex(model.coeffs.shape[:-1]):
         alone = PolyPhaseModel(shape=model.shape, degrees=model.degrees, coeffs=model.coeffs[idx])
         assert np.array_equal(phase[idx], alone.phase_cycles())
+        # the readers agree with the phase: one coefficient per term
+        read = sum(alone.coefficient(m) * basis_on_lattice(model.shape, m) for m in alone.as_dict())
+        assert np.max(np.abs(phase[idx] - read)) <= 1e-12
 
 
 def test_coefficient_rejects_batched_model():

@@ -16,12 +16,17 @@ Sidecar lines that echo the ``config`` or ``input`` path are left out of
 the digest, because those paths name this run's own files. ``--keep DIR``
 writes the outputs into DIR, a new directory, instead of a temporary one.
 
+``tools/output_digests.txt`` pins the lines of this tree, below a header
+of ``#`` lines that names the versions they were made with (``versions``);
+``tests/test_output_digests.py`` runs the calls and compares. Refresh the
+pinned lines only with a change that states why its bytes moved.
+
 ``--compare`` reads two kept directories and prints, for every column of
 every CSV file, ``identical`` or the largest absolute difference between
 the two files' numbers, and for every other file whether its digest is
 identical. It exits 0 when every line reads ``identical`` and 1 otherwise,
 so it can gate a change that must keep every output byte. Uses the
-standard library and, to run the calls, nearwave only.
+standard library and, to run the calls, nearwave and its numpy only.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import hashlib
 import io
 import math
 import os
+import platform
 import sys
 import tempfile
 
@@ -68,6 +74,15 @@ def calls(root: str, seed: int):
                     f"iterations = 3\ncost_variant = {variant}\n"))
     out.append(("landscape-fig9", ["landscape", "--preset", "fig9"], None))
     return out
+
+
+def versions() -> str:
+    """The numpy, Python and BLAS versions that the digests depend on, as one line."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, Python {platform.python_version()}, "
+            f"BLAS {blas['name']} {blas['version']}")
 
 
 def digest(path: str) -> str:
@@ -164,7 +179,7 @@ def main(argv=None) -> None:
         sys.exit(0 if all(line.endswith(" identical") for line in lines) else 1)
     import nearwave
 
-    print(f"nearwave from {os.path.dirname(nearwave.__file__)}", file=sys.stderr)
+    print(f"nearwave from {os.path.dirname(nearwave.__file__)}; {versions()}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as root:
         if args.keep:
             os.mkdir(args.keep)
