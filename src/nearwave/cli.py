@@ -51,7 +51,8 @@ def _cast(key: str, text: str, default):
 
 
 def _config(args, defaults: dict) -> dict:
-    """``defaults`` updated from the --config file, each value cast to its default's type.
+    """``defaults`` updated from the --config file, each value cast to its default's type,
+    then from each given flag that overrides a config key.
 
     The keys of ``defaults`` are the subcommand's accepted config keys.
     """
@@ -60,6 +61,10 @@ def _config(args, defaults: dict) -> dict:
         if key not in defaults:
             raise ConfigError(f"unknown {args.command} config key {key!r}")
         out[key] = _cast(key, text, defaults[key])
+    for flag, _, _, key in _COMMANDS[args.command][2]:
+        value = getattr(args, flag[2:])
+        if key is not None and value is not None:
+            out[key] = value
     return out
 
 
@@ -118,7 +123,7 @@ def _cmd_synth(args) -> tuple[str, dict]:
     values = synth(spec, pose, unit_amplitude=(amplitude == "unit"))
     chanfile.write_channel(path, values)
     return path, dict(amplitude=amplitude, pose_kind=pose_kind, seed=args.seed,
-                      pose_r=tuple(pose.r), **asdict(spec))
+                      pose_r=tuple(pose.r.tolist()), **asdict(spec))
 
 
 def _cmd_estimate(args) -> tuple[str, dict]:
@@ -144,10 +149,6 @@ def _cmd_mse(args) -> tuple[str, dict]:
     # the library allows an LS-only sweep; a CLI run without degrees has no result
     if not cfg["degree_list"]:
         raise ConfigError("degree_list: expected at least one degree")
-    if args.trials is not None:
-        cfg["trials"] = args.trials
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     config = replace(config, **cfg)
     if config.trials < 10:
         print(f"warning: only {config.trials} trial(s); "
@@ -170,8 +171,6 @@ def _cmd_mle(args) -> tuple[str, dict]:
     spec, config = _lookup(presets.TRAJECTORY_PRESETS, args.preset, "trajectory")
     cfg = _config(args, {**asdict(config), "snr_db": 10.0})
     snr_db = cfg.pop("snr_db")
-    if args.starts is not None:
-        cfg["num_starts"] = args.starts
     config = replace(config, **cfg)
 
     path = _out_path(args, "trajectories.csv")
@@ -196,12 +195,15 @@ def _cmd_landscape(args) -> tuple[str, dict]:
     return path, kwargs
 
 
+# One row per subcommand: its handler, its default preset (None: it takes no --preset
+# or --config), and its own flags as (flag, type, default, config key it overrides).
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "estimate": _cmd_estimate,
-    "mse": _cmd_mse,
-    "mle": _cmd_mle,
-    "landscape": _cmd_landscape,
+    "synth": (_cmd_synth, "ula32-single", [("--seed", int, 0, None)]),
+    "estimate": (_cmd_estimate, None, [("--input", str, None, None), ("--degree", int, 2, None)]),
+    # mse's --seed defaults to None so that its preset's seed applies
+    "mse": (_cmd_mse, "fig5a", [("--seed", int, None, "seed"), ("--trials", int, None, "trials")]),
+    "mle": (_cmd_mle, "fig3a", [("--seed", int, 0, None), ("--starts", int, None, "num_starts")]),
+    "landscape": (_cmd_landscape, "fig9", []),
 }
 
 
@@ -211,26 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Near-field LOS channel synthesis, estimation, and benchmarks.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {
-        "synth": "ula32-single", "mse": "fig5a",
-        "mle": "fig3a", "landscape": "fig9",
-    }
-    for name in _COMMANDS:
+    for name, (_, preset, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--out", default=".")
-        if name == "estimate":
-            p.add_argument("--input", default=None)
-            p.add_argument("--degree", type=int, default=2)
-            continue
-        p.add_argument("--preset", default=defaults[name])
-        p.add_argument("--config", default=None)
-        if name != "landscape":
-            # mse keeps None so that its preset's seed applies
-            p.add_argument("--seed", type=int, default=None if name == "mse" else 0)
-        if name == "mse":
-            p.add_argument("--trials", type=int, default=None)
-        if name == "mle":
-            p.add_argument("--starts", type=int, default=None)
+        if preset is not None:
+            p.add_argument("--preset", default=preset)
+            p.add_argument("--config", default=None)
+        for flag, kind, default, _ in flags:
+            p.add_argument(flag, type=kind, default=default)
     return parser
 
 
@@ -240,7 +230,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        path, extra = _COMMANDS[args.command](args)
+        path, extra = _COMMANDS[args.command][0](args)
         chanfile.write_metadata(chanfile.sidecar_path(path), _base_metadata(args, **extra))
     except (ConfigError, ValueError, mle.DivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

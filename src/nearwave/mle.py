@@ -291,8 +291,8 @@ def landscape_scan(d_true: float = 5.0, d_range: tuple[float, float] = (4.6, 5.4
     residual and "plane" for the complex-attenuation one.
     """
     lo, hi = d_range
-    if not (lo < hi and step > 0):
-        raise ValueError("need d_range[0] < d_range[1] and step > 0")
+    if not (0 < lo < hi < np.inf and 0 < step < np.inf):
+        raise ValueError("need 0 < d_range[0] < d_range[1] < inf and 0 < step < inf")
     spec = ArraySpec.half_wavelength(ntx=num_antennas, fc=fc)
     truth = GeometryPose(r=np.array([0.0, 0.0, d_true]), R=np.eye(3))
     y = synth(spec, truth)

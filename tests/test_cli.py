@@ -18,6 +18,7 @@ def test_synth_writes_preset_shape(tmp_path):
     meta = chanfile.read_metadata(tmp_path / "channel.bin.meta")
     assert meta["subcommand"] == "synth"
     assert meta["ntx"] == "32"
+    assert meta["pose_r"] == "(0.0, 0.0, 10.0)"
 
 
 def test_synth_round_trip_bit_identical(tmp_path):
@@ -94,6 +95,22 @@ def test_mse_config_overrides(tmp_path):
     rows = (tmp_path / "mse.csv").read_text().strip().splitlines()
     assert rows[0] == "snr_db,mse_db_1,mse_db_2"
     assert len(rows) == 3
+
+
+def test_flags_override_their_config_keys(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("trials = 3\nseed = 9\n")
+    for flags, echoed in [([], ("3", "9")), (["--trials", "2", "--seed", "4"], ("2", "4"))]:
+        assert main(["mse", "--preset", "fig5a", "--config", str(config), *flags,
+                     "--out", str(tmp_path)]) == 0
+        meta = chanfile.read_metadata(tmp_path / "mse.csv.meta")
+        assert (meta["trials"], meta["seed"]) == echoed
+    config.write_text("num_starts = 5\niterations = 1\n")
+    assert main(["mle", "--preset", "fig3a", "--config", str(config), "--starts", "2",
+                 "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "trajectories.csv").read_text().splitlines()[0]
+    assert header == "Iteration,Best_1_Cost_dB,Best_2_Cost_dB,Proxy_Cost_dB"
+    assert chanfile.read_metadata(tmp_path / "trajectories.csv.meta")["num_starts"] == "2"
 
 
 def test_mse_rejects_unknown_config_key(tmp_path, capsys):
@@ -306,6 +323,9 @@ BOUNDARY_CASES = [
     (["mle", "--preset", "fig3a", "--seed", "-1"], None, "--seed must be >= 0"),
     (["synth", "--preset", "ula8-single", "--seed", "-1"], None, "--seed must be >= 0"),
     (["mse", "--preset", "fig5a"], "seed = -1\n", "seed must be >= 0"),
+    (["landscape"], "d_range = 4.6 inf\n", "0 < d_range[0] < d_range[1] < inf"),
+    (["landscape"], "step = inf\n", "0 < step < inf"),
+    (["landscape"], "d_range = -1 1\n", "0 < d_range[0] < d_range[1] < inf"),
 ]
 
 
