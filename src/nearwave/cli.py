@@ -123,7 +123,8 @@ def _cmd_synth(args) -> tuple[str, dict]:
     values = synth(spec, pose, unit_amplitude=(amplitude == "unit"))
     chanfile.write_channel(path, values)
     return path, dict(amplitude=amplitude, pose_kind=pose_kind, seed=args.seed,
-                      pose_r=tuple(pose.r.tolist()), **asdict(spec))
+                      pose_r=tuple(pose.r.tolist()), pose_rotation=tuple(pose.R.ravel().tolist()),
+                      **asdict(spec))
 
 
 def _cmd_estimate(args) -> tuple[str, dict]:
@@ -180,6 +181,7 @@ def _cmd_mle(args) -> tuple[str, dict]:
     median_norm = _median(norms) if norms else float("nan")
     return path, dict(seed=args.seed, snr_db=snr_db, num_starts=config.num_starts,
                       iterations=config.iterations, cost_variant=config.cost_variant,
+                      learning_rate=config.learning_rate,
                       converged_fraction=f"{result.converged_fraction():.4f}",
                       diverged_starts=sum(tr.diverged for tr in result.starts),
                       median_final_grad_norm=f"{median_norm:.6g}",

@@ -296,7 +296,10 @@ def landscape_scan(d_true: float = 5.0, d_range: tuple[float, float] = (4.6, 5.4
     spec = ArraySpec.half_wavelength(ntx=num_antennas, fc=fc)
     truth = GeometryPose(r=np.array([0.0, 0.0, d_true]), R=np.eye(3))
     y = synth(spec, truth)
-    grid = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    count = (hi - lo) / step
+    if count == np.inf:
+        raise ValueError(f"(d_range[1] - d_range[0]) / step = {count} scan points: must be finite")
+    grid = lo + step * np.arange(int(round(count)) + 1)
     r_batch = np.zeros((grid.size, 3))
     r_batch[:, 2] = grid
     R_batch = np.broadcast_to(np.eye(3), (grid.size, 3, 3))

@@ -70,9 +70,7 @@ def diff_multi(signal: np.ndarray, m) -> np.ndarray:
     out = np.asarray(signal)
     if len(m) > out.ndim or any(int(k) < 0 for k in m):
         raise ValueError(f"need at most {out.ndim} entries m_d >= 0, got {tuple(m)}")
-    for axis in _passes(m):
-        out = diff(out, axis)
-    return out
+    return next(_shared_differences(out, [m], 0))
 
 
 @lru_cache(maxsize=256)

@@ -22,8 +22,6 @@ from .chanfile import write_csv
 from .geometry import ArraySpec, GeometryPose, sample_pose, synth, synth_batch
 from .wavefront import build_degree_set, degree_set_for_shape, product_degree_set
 
-TX_AXES = (2, 3)
-FREQ_AXIS = 4
 SCHEMA_VERSION = 1
 # channel entries per block of the MSE sweep: 6 trials of 21 SNRs on a
 # 32-antenna line, and one observation of any tensor of 4096 entries or more
@@ -216,27 +214,17 @@ def _pilot_indices(extent: int, count: int) -> np.ndarray:
 def pilot_subsample(y: np.ndarray, max_degree: int):
     """Keep an evenly spaced pilot sublattice of transmit indices.
 
-    Retains max_degree + 1 indices (endpoints included) per non-singleton
-    transmit axis, the two endpoint frequencies when there are several, and
-    every receive index. Returns (y_sub, coords) with one coordinate array
-    per axis.
+    Retains every receive index, max_degree + 1 indices per transmit axis and
+    the two endpoint frequencies, each axis's from ``_pilot_indices``
+    (endpoints included); a singleton axis keeps its one index. Returns
+    (y_sub, coords) with one coordinate array per axis.
     """
     y = np.asarray(y)
     if y.ndim != 5:
         raise ValueError("expected a 5-axis channel tensor")
-    coords = []
-    for axis, extent in enumerate(y.shape):
-        if axis in TX_AXES and extent > 1:
-            if extent < max_degree + 1:
-                raise ValueError(
-                    f"transmit axis {axis} has {extent} < {max_degree + 1} samples")
-            coords.append(_pilot_indices(extent, max_degree + 1))
-        elif axis == FREQ_AXIS and extent > 1:
-            coords.append(np.array([0, extent - 1]))
-        else:
-            coords.append(np.arange(extent))
-    sub = y[np.ix_(*coords)]
-    return sub, tuple(coords)
+    counts = y.shape[:2] + (max_degree + 1,) * 2 + (2,)
+    coords = tuple(_pilot_indices(n, count if n > 1 else 1) for n, count in zip(y.shape, counts))
+    return y[np.ix_(*coords)], coords
 
 
 def estimate_from_pilots(y: np.ndarray, max_degree: int):

@@ -144,19 +144,17 @@ def degree_set_for_shape(max_degree: int, shape) -> np.ndarray:
     axes; the last axis is the frequency axis and carries degree at most 1;
     singleton axes carry 0. Every non-singleton spatial axis must have at
     least ``max_degree + 1`` samples, otherwise the basis would be
-    overloaded and a ValueError is raised.
+    overloaded and a ValueError is raised. The set is then the rows of
+    ``product_degree_set`` whose spatial degrees sum to at most ``max_degree``.
     """
     shape = _checked_shape(max_degree, shape)
-    spatial = shape[:-1]
-    for axis, n in enumerate(spatial):
+    for axis, n in enumerate(shape[:-1]):
         if n > 1 and n < max_degree + 1:
             raise ValueError(
                 f"axis {axis} has {n} samples, fewer than max_degree+1={max_degree + 1}"
             )
-    ranges = [range(max_degree + 1) if n > 1 else range(1) for n in spatial]
-    spatial_degrees = [m for m in product(*ranges) if sum(m) <= max_degree]
-    freq_range = range(2) if shape[-1] > 1 else range(1)
-    return _degree_set([m + (mf,) for m in spatial_degrees for mf in freq_range])
+    degrees = product_degree_set(max_degree, shape)
+    return degrees[degrees[:, :-1].sum(axis=1) <= max_degree]
 
 
 def build_degree_set(max_degree: int, spec: ArraySpec) -> np.ndarray:

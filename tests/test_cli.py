@@ -19,6 +19,7 @@ def test_synth_writes_preset_shape(tmp_path):
     assert meta["subcommand"] == "synth"
     assert meta["ntx"] == "32"
     assert meta["pose_r"] == "(0.0, 0.0, 10.0)"
+    assert meta["pose_rotation"] == "(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)"
 
 
 def test_synth_round_trip_bit_identical(tmp_path):
@@ -262,7 +263,7 @@ CONFIG_KEYS = {
             {"iterations": "2", "num_starts": "2", "learning_rate": "0.02",
              "cost_variant": "plain", "snr_db": "15"},
             {"iterations": "2", "num_starts": "2", "cost_variant": "plain",
-             "snr_db": "15.0"},
+             "snr_db": "15.0", "learning_rate": "0.02"},
             ("bogus", "init_shell", "unit_amplitude", "genie_init", "fd_step"),
             {}),
     "landscape": ("fig9", "landscape.csv.meta",
@@ -326,6 +327,7 @@ BOUNDARY_CASES = [
     (["landscape"], "d_range = 4.6 inf\n", "0 < d_range[0] < d_range[1] < inf"),
     (["landscape"], "step = inf\n", "0 < step < inf"),
     (["landscape"], "d_range = -1 1\n", "0 < d_range[0] < d_range[1] < inf"),
+    (["landscape"], "d_range = 1e-300 1e300\nstep = 1e-300\n", "= inf scan points"),
 ]
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,21 @@ def test_output_bytes_match_the_pinned_digests(capsys):
     moved = sorted({" ".join(line.split()[:2]) for line in set(lines) ^ set(pinned)})
     assert lines == pinned, (f"the files of these (seed, call) pairs moved: {moved}\n"
                              f"pinned {made_with}\nrunning {output_digests.versions()}")
+
+
+def test_each_sidecar_identifies_its_data():
+    # any two calls at one seed that write the same files: data that differs has sidecars
+    # that differ, so a sidecar echoes every setting that shaped its data
+    files = {}
+    for line in PINNED.read_text().splitlines():
+        if not line.startswith("#"):
+            seed, call, name, digest = line.split()
+            files.setdefault((seed, call), {})[name] = digest
+    same = []
+    for (a, written_a), (b, written_b) in itertools.combinations(files.items(), 2):
+        if a[0] == b[0] and written_a.keys() == written_b.keys():
+            differs = {name for name in written_a if written_a[name] != written_b[name]}
+            if any(not name.endswith(".meta") for name in differs):
+                same += [(a, b, name) for name in written_a
+                         if name.endswith(".meta") and name not in differs]
+    assert same == []

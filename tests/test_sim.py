@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -266,6 +267,41 @@ def test_pilot_subsample_counts():
 def test_pilot_placement_rejects_what_it_cannot_place(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def total_degree_by_ranges(max_degree, shape):
+    """The total-degree set by per-axis ranges, canonically ordered: a non-singleton spatial
+    axis takes 0..L, the frequency axis 0..1, a singleton axis 0, and the spatial degrees of
+    a row sum to at most L."""
+    spatial = [range(max_degree + 1) if n > 1 else range(1) for n in shape[:-1]]
+    freq = range(2) if shape[-1] > 1 else range(1)
+    rows = [m + (f,) for m in itertools.product(*spatial) if sum(m) <= max_degree for f in freq]
+    return np.array(sorted(rows, key=lambda m: (sum(m), m), reverse=True), dtype=int)
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3])
+def test_lattice_index_rules_per_axis(L):
+    for rank in range(1, 6):
+        for shape in itertools.product((1, 2, 5), repeat=rank):
+            if any(1 < n < L + 1 for n in shape[:-1]):
+                with pytest.raises(ValueError):
+                    degree_set_for_shape(L, shape)
+            else:
+                ds = degree_set_for_shape(L, shape)
+                assert ds.dtype == int and ds.shape[1] == rank
+                assert np.array_equal(ds, total_degree_by_ranges(L, shape)), (L, shape)
+    for shape in itertools.product((1, 2, 5), repeat=5):
+        y = np.arange(np.prod(shape)).reshape(shape)
+        if any(1 < n < L + 1 for n in shape[2:4]):
+            with pytest.raises(ValueError):
+                pilot_subsample(y, L)
+            continue
+        sub, coords = pilot_subsample(y, L)
+        expected = [np.arange(n) for n in shape[:2]]
+        expected += [sim._pilot_indices(n, L + 1) if n > 1 else [0] for n in shape[2:4]]
+        expected.append([0, shape[4] - 1] if shape[4] > 1 else [0])
+        assert [c.tolist() for c in coords] == [list(e) for e in expected], (L, shape)
+        assert np.array_equal(sub, y[np.ix_(*coords)])
 
 
 def test_estimate_from_pilots_never_imports_numpy_ma():
