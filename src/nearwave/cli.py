@@ -21,16 +21,10 @@ from .sim import SCHEMA_VERSION
 from .wavefront import degree_set_for_shape
 
 
-class ConfigError(Exception):
-    """Invalid configuration or preset."""
-
-
-def parse_config(path) -> dict[str, str]:
-    """Parse flat "key = value" lines; blank lines and # comments ignored."""
-    try:
-        return chanfile.read_metadata(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+# an invalid configuration or preset; every ValueError exits 2
+ConfigError = ValueError
+# flat "key = value" lines; blank lines and # comments ignored
+parse_config = chanfile.read_metadata
 
 
 # tuple-valued keys of any length; every other tuple keeps its default's length
@@ -234,7 +228,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         path, extra = _COMMANDS[args.command][0](args)
         chanfile.write_metadata(chanfile.sidecar_path(path), _base_metadata(args, **extra))
-    except (ConfigError, ValueError, mle.DivergedError) as exc:
+    except ValueError as exc:  # ConfigError and mle.DivergedError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

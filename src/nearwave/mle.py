@@ -86,7 +86,7 @@ class Trajectory:
     final_grad_norm: float = field(default=float("nan"))
 
 
-class DivergedError(RuntimeError):
+class DivergedError(ValueError):
     """Every optimizer start reached a non-finite cost or gradient."""
 
 
@@ -252,7 +252,6 @@ def optimize(y, spec: ArraySpec, config: MleConfig, init_poses):
         costs[t - 1] = _cost_pass(y, spec, params, base_rotations, config.cost_variant,
                                   work, grad)
         frozen |= ~np.isfinite(costs[t - 1]) | ~np.all(np.isfinite(grad), axis=1)
-        grad[frozen] = 0.0
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
         m_hat = m / (1.0 - ADAM_BETA1**t)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 
 import numpy as np
 
@@ -37,15 +36,12 @@ def binomial(n, k: int):
 
 
 def legendre(ell: int, x):
-    """Legendre polynomial P_ell(x) via the three-term recurrence."""
+    """Legendre polynomial P_ell(x) via the three-term recurrence from P_-1 = 0, P_0 = 1."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if ell == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = x.copy()
-    for k in range(2, ell + 1):
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, ell + 1):
         p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
     return p if p.ndim else float(p)
 
@@ -126,11 +122,6 @@ def term_order(m) -> tuple:
     return (sum(m), tuple(m))
 
 
-def _degree_set(degrees) -> np.ndarray:
-    """(T, d) int array of ``degrees`` in canonical order, see ``term_order``."""
-    return np.array(sorted(degrees, key=term_order, reverse=True), dtype=int)
-
-
 def spatial_cardinality(degrees) -> int:
     """Number of distinct spatial parts (all entries but the last) of the multi-index rows."""
     return len({tuple(m[:-1]) for m in np.asarray(degrees).tolist()})
@@ -172,9 +163,11 @@ def product_degree_set(max_degree: int, shape) -> np.ndarray:
     but any function of L + 1 points per axis is a product polynomial.
     """
     shape = _checked_shape(max_degree, shape)
-    caps = [min(max_degree, n - 1) for n in shape[:-1]]
-    caps.append(min(1, shape[-1] - 1))
-    return _degree_set(product(*[range(c + 1) for c in caps]))
+    caps = [min(max_degree, n - 1) for n in shape[:-1]] + [min(1, shape[-1] - 1)]
+    # lexicographically descending rows, grouped by descending total degree: ``term_order``
+    rows = np.indices([c + 1 for c in caps]).reshape(len(caps), -1).T[::-1]
+    total = rows.sum(axis=1)
+    return np.concatenate([rows[total == t] for t in range(total[0], -1, -1)])
 
 
 def basis_at(coords, m) -> np.ndarray:

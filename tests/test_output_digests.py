@@ -24,10 +24,13 @@ def test_compare_reports_each_csv_column_and_other_file(tmp_path):
     write(b, "0-mse/crb.csv", "snr,crb\n0,1e-3\n")
     write(a, "0-mse/mse.csv.meta", "seed = 0\nconfig = /a/x.cfg\n")
     write(b, "0-mse/mse.csv.meta", "seed = 0\nconfig = /b/x.cfg\n")
+    write(a, "0-mle/trajectories.csv.meta", "seed = 0\nsnr_db = 10\ntrials = 3\nconfig = /a\n")
+    write(b, "0-mle/trajectories.csv.meta", "seed = 0\nsnr_db = 20\nstarts = 4\nconfig = /b\n")
     write(a, "0-synth/channel.bin", "ab")
     write(b, "0-synth/channel.bin", "ac")
     write(a, "0-only/table.csv", "x\n1\n")
     assert output_digests.compare(str(a), str(b)) == [
+        "0-mle/trajectories.csv.meta differs: snr_db, starts, trials",  # not the echoed config
         "0-mse/crb.csv snr identical",
         "0-mse/crb.csv crb identical",
         "0-mse/mse.csv snr identical",

@@ -646,6 +646,15 @@ def test_expand_to_lattice_rejects_bad_degrees(degrees):
         expand_to_lattice(model, (np.array([0, 2, 4, 6]),), (8,), degrees)
 
 
+def test_expand_to_lattice_rejects_degrees_of_another_rank():
+    # rows of one axis on a two-axis lattice: without the check, lstsq's shape error
+    model = PolyPhaseModel(shape=(4, 4), degrees=np.array([[1, 0], [0, 1], [0, 0]]),
+                           coeffs=[0.2, 0.1, 0.05])
+    coords = (np.array([0, 2, 4, 6]), np.array([0, 2, 4, 6]))
+    with pytest.raises(ValueError, match="match the lattice rank"):
+        expand_to_lattice(model, coords, (8, 8), np.array([[1], [0]]))
+
+
 # ---------------------------------------------------------------------------
 # array passes
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from nearwave.wavefront import (
     approx_channel,
     build_degree_set,
     degree_set_for_shape,
+    product_degree_set,
 )
 
 
@@ -279,10 +280,21 @@ def total_degree_by_ranges(max_degree, shape):
     return np.array(sorted(rows, key=lambda m: (sum(m), m), reverse=True), dtype=int)
 
 
+def product_by_ranges(max_degree, shape):
+    """The product set by per-axis ranges, canonically ordered: a spatial axis takes
+    0..min(L, N - 1), the frequency axis 0..min(1, N - 1), in every combination."""
+    caps = [min(max_degree, n - 1) for n in shape[:-1]] + [min(1, shape[-1] - 1)]
+    rows = itertools.product(*[range(c + 1) for c in caps])
+    return np.array(sorted(rows, key=lambda m: (sum(m), m), reverse=True), dtype=int)
+
+
 @pytest.mark.parametrize("L", [0, 1, 2, 3])
 def test_lattice_index_rules_per_axis(L):
     for rank in range(1, 6):
         for shape in itertools.product((1, 2, 5), repeat=rank):
+            product_set = product_degree_set(L, shape)
+            assert product_set.dtype == int, (L, shape)
+            assert np.array_equal(product_set, product_by_ranges(L, shape)), (L, shape)
             if any(1 < n < L + 1 for n in shape[:-1]):
                 with pytest.raises(ValueError):
                     degree_set_for_shape(L, shape)

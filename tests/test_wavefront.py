@@ -49,6 +49,16 @@ def test_legendre_recurrence_matches_closed_forms():
         assert np.max(np.abs(legendre(ell, x) - closed(x))) < 1e-12
 
 
+def test_legendre_starts_exactly_at_one_and_x():
+    x = np.array([-1.0, -0.5, -0.0, 0.0, 0.3, 1.0, np.inf, -np.inf, np.nan])
+    assert np.array_equal(legendre(0, x), np.ones_like(x))
+    p1 = legendre(1, x)
+    assert np.array_equal(p1, x, equal_nan=True)
+    assert np.array_equal(np.signbit(p1), np.signbit(x))
+    assert type(legendre(0, 0.3)) is float and type(legendre(1, 0.3)) is float
+    assert legendre(1, -0.0) == 0.0 and math.copysign(1.0, legendre(1, -0.0)) == -1.0
+
+
 def test_sqrt_series_coeff_values():
     x = np.linspace(-1, 1, 101)
     assert np.allclose(sqrt_series_coeff(2, x), (1 - x**2) / 2, atol=1e-14)

@@ -24,9 +24,10 @@ pinned lines only with a change that states why its bytes moved.
 ``--compare`` reads two kept directories and prints, for every column of
 every CSV file, ``identical`` or the largest absolute difference between
 the two files' numbers, and for every other file whether its digest is
-identical. It exits 0 when every line reads ``identical`` and 1 otherwise,
-so it can gate a change that must keep every output byte. Uses the
-standard library and, to run the calls, nearwave and its numpy only.
+identical; a ``.meta`` pair that differs names the keys that moved. It
+exits 0 when every line reads ``identical`` and 1 otherwise, so it can
+gate a change that must keep every output byte. Uses the standard library
+and, to run the calls, nearwave and its numpy only.
 """
 
 from __future__ import annotations
@@ -85,14 +86,28 @@ def versions() -> str:
             f"BLAS {blas['name']} {blas['version']}")
 
 
-def digest(path: str) -> str:
+def sidecar_lines(path: str) -> list[tuple[str, str]]:
+    """(key, line) of every line of a ``.meta`` sidecar, whose key is the text before ``=``."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        lines = fh.read().decode().splitlines(keepends=True)
+    return [(line.split("=", 1)[0].strip(), line) for line in lines]
+
+
+def digest(path: str) -> str:
     if path.endswith(".meta"):
-        lines = data.decode().splitlines(keepends=True)
-        data = "".join(line for line in lines
-                       if line.split("=", 1)[0].strip() not in ECHOED_KEYS).encode()
+        data = "".join(line for key, line in sidecar_lines(path)
+                       if key not in ECHOED_KEYS).encode()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     return hashlib.sha256(data).hexdigest()
+
+
+def moved_keys(path_a: str, path_b: str) -> list[str]:
+    """Sorted keys, not echoed, whose lines differ between two sidecars or that one lacks."""
+    a, b = (dict(sidecar_lines(p)) for p in (path_a, path_b))
+    return sorted(k for k in a.keys() | b.keys()
+                  if k not in ECHOED_KEYS and a.get(k) != b.get(k))
 
 
 def run(root: str, seed: int, name: str, argv: list[str], config: str | None) -> None:
@@ -158,8 +173,12 @@ def compare(dir_a: str, dir_b: str) -> list[str]:
             lines.append(f"{rel} only in {dir_a if rel in in_a else dir_b}")
         elif rel.endswith(".csv"):
             lines += [f"{rel} {col} {result}" for col, result in column_differences(a, b)]
+        elif digest(a) == digest(b):
+            lines.append(f"{rel} identical")
+        elif rel.endswith(".meta"):
+            lines.append(f"{rel} differs: {', '.join(moved_keys(a, b)) or 'line order'}")
         else:
-            lines.append(f"{rel} {'identical' if digest(a) == digest(b) else 'differs'}")
+            lines.append(f"{rel} differs")
     return lines
 
 
