@@ -209,8 +209,23 @@ def _rodrigues_terms(w: np.ndarray):
 
 def rotation_from_tangent_batch(omega: np.ndarray) -> np.ndarray:
     """Rodrigues map applied to a batch of tangent vectors, shape (S, 3) -> (S, 3, 3)."""
-    K, K2, a, b, _ = _rodrigues_terms(np.asarray(omega, dtype=float))
-    return np.eye(3)[None] + a * K + b * K2
+    return _rotation_and_jacobian(omega, False)[0]
+
+
+def _rotation_and_jacobian(omega: np.ndarray, jacobian: bool):
+    """The Rodrigues map R of ``omega`` (S, 3) and, if ``jacobian``, its derivatives, else None.
+
+    Both come from one ``_rodrigues_terms`` call. Derivative [s, i] is skew(J e_i) @ R[s] with
+    J = I + b K + c K^2 the left Jacobian of the rotation group, the compact formula of
+    G. Gallego and A. Yezzi (J. Math. Imaging Vis., 2015) with (I - R) e_i expanded in K.
+    """
+    K, K2, a, b, c = _rodrigues_terms(np.asarray(omega, dtype=float))
+    R = np.eye(3)[None] + a * K + b * K2
+    if not jacobian:
+        return R, None
+    J = np.eye(3)[None] + b * K + c * K2
+    # skew of each column of J: [s, i] = skew(J[s, :, i])
+    return R, skew(np.swapaxes(J, 1, 2)) @ R[:, None]
 
 
 def rotation_from_euler(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
@@ -224,16 +239,10 @@ def rotation_from_euler(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
 def rotation_jacobian_batch(omega: np.ndarray) -> np.ndarray:
     """Derivatives of the Rodrigues map, shape (S, 3) -> (S, 3, 3, 3).
 
-    Entry [s, i] is d expm(skew(w)) / d w_i at w = omega[s]. It is
-    skew(J e_i) @ expm(skew(w)) with J = I + b K + c K^2 the left Jacobian
-    of the rotation group, the compact formula of G. Gallego and A. Yezzi
-    (J. Math. Imaging Vis., 2015) with (I - R) e_i expanded in K. At
-    w = 0 it is exactly skew(e_i).
+    Entry [s, i] is d expm(skew(w)) / d w_i at w = omega[s], taken in
+    closed form (``_rotation_and_jacobian``). At w = 0 it is exactly skew(e_i).
     """
-    K, K2, a, b, c = _rodrigues_terms(np.asarray(omega, dtype=float))
-    J = np.eye(3)[None] + b * K + c * K2
-    # skew of each column of J: [s, i] = skew(J[s, :, i])
-    return skew(np.swapaxes(J, 1, 2)) @ (np.eye(3)[None] + a * K + b * K2)[:, None]
+    return _rotation_and_jacobian(omega, True)[1]
 
 
 def rotation_log(R: np.ndarray) -> np.ndarray:
@@ -317,9 +326,18 @@ def rx_local_grid(spec: ArraySpec) -> np.ndarray:
 
 
 def rx_positions(spec: ArraySpec, r: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Receive antenna positions r + R @ local of a pose batch, shape (S, nrx, nry, 3)."""
-    r = np.asarray(r, dtype=float)
-    return r[:, None, None, :] + np.einsum("sij,xyj->sxyi", R, rx_local_grid(spec))
+    """Receive antenna positions r + R @ local of a pose batch, shape (S, nrx, nry, 3).
+
+    R @ local is summed one column of R at a time: the bits of
+    np.einsum("sij,xyj->sxyi", R, local), in about half its time on a block of poses.
+    """
+    local = rx_local_grid(spec)
+    R = np.asarray(R, dtype=float)[:, None, None]
+    out = R[..., 0] * local[..., 0:1]
+    out += R[..., 1] * local[..., 1:2]
+    out += R[..., 2] * local[..., 2:3]
+    out += np.asarray(r, dtype=float)[:, None, None, :]
+    return out
 
 
 def antenna_positions(spec: ArraySpec, pose: GeometryPose):
@@ -361,14 +379,15 @@ def _distances(spec: ArraySpec, r: np.ndarray, R: np.ndarray, out=None, scratch=
 
     The bits of pair_distances(pair_offsets(spec, r, R)) without the offset tensor:
     each offset component in turn goes into ``scratch``, the distances into ``out``.
+    The transmit coordinates are three contiguous rows, so each subtraction reads them densely.
     """
     rx = rx_positions(spec, r, R)
-    tx = tx_positions(spec)
-    out = np.empty(rx.shape[:3] + tx.shape[:2]) if out is None else out
+    tx = np.moveaxis(tx_positions(spec), -1, 0).copy()
+    out = np.empty(rx.shape[:3] + tx.shape[1:]) if out is None else out
     scratch = np.empty_like(out) if scratch is None else scratch
-    np.square(np.subtract(rx[:, :, :, None, None, 0], tx[..., 0], out=out), out=out)
+    np.square(np.subtract(rx[:, :, :, None, None, 0], tx[0], out=out), out=out)
     for i in (1, 2):
-        out += np.square(np.subtract(rx[:, :, :, None, None, i], tx[..., i], out=scratch),
+        out += np.square(np.subtract(rx[:, :, :, None, None, i], tx[i], out=scratch),
                          out=scratch)
     return rx, np.sqrt(out, out=out)
 

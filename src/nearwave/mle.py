@@ -21,9 +21,9 @@ from .geometry import (
     ArraySpec,
     GeometryPose,
     _distances,
+    _rotation_and_jacobian,
     frequency_factors,
     rotation_from_tangent_batch,
-    rotation_jacobian_batch,
     rx_local_grid,
     sample_pose,  # re-exported: the benchmark's layer table wraps mle.sample_pose
     synth,
@@ -167,13 +167,14 @@ def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
     cost = np.empty(len(params))
     step = len(work[0])
     tx = tx_positions(spec).reshape(-1, 3)
-    kappa_f = (-2.0 * np.pi / spec.wavelength) * frequency_factors(spec)
+    rx_local = rx_local_grid(spec).reshape(-1, 3)
+    phase_weight = 1j * ((-2.0 * np.pi / spec.wavelength) * frequency_factors(spec))
     for lo in range(0, len(params), step):
         part = slice(lo, lo + step)
         r, omega = params[part, :3], params[part, 3:]
         dist, g, h, zh = (a[:len(r)] for a in work)
-        rx, _ = _distances(spec, r, base_rotations[part] @ rotation_from_tangent_batch(omega),
-                           out=dist, scratch=g)
+        R, dR = _rotation_and_jacobian(omega, grad is not None)
+        rx, _ = _distances(spec, r, base_rotations[part] @ R, out=dist, scratch=g)
         synth_from_distances(spec, r, dist, out=h)
         beta, cost[part] = _fit(y, h, variant)
         if grad is None:
@@ -186,7 +187,7 @@ def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
         zh *= h
         # h = (D / d) exp(j kappa f d): the weight of each pair distance, and of
         # log D through the amplitude; the weights overwrite h, which is used up
-        np.add(np.divide(-1.0, dist, out=g)[..., None], 1j * kappa_f, out=h)
+        np.add(np.divide(-1.0, dist, out=g)[..., None], phase_weight, out=h)
         np.sum(np.multiply(zh, h, out=h).real, axis=-1, out=g)
         amp = np.sum(zh.real, axis=tuple(range(1, h.ndim)))
         # per receive antenna p, sum over transmit antennas of g u, u = (rx - tx) / d
@@ -194,8 +195,8 @@ def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
         gu = rx.reshape(w.shape[:2] + (3,)) * np.sum(w, axis=2)[..., None] - w @ tx
         grad[part, :3] = gu.sum(axis=1) + (amp / np.sum(r * r, axis=1))[:, None] * r
         # d cost / dR = M = sum g u p_rx^T over pairs, p_rx in the array frame
-        M = np.einsum("spi,pj->sij", gu, rx_local_grid(spec).reshape(-1, 3))
-        dR = base_rotations[part, None] @ rotation_jacobian_batch(omega)
+        M = np.einsum("spi,pj->sij", gu, rx_local)
+        dR = base_rotations[part, None] @ dR
         grad[part, 3:] = np.sum(dR * M[:, None], axis=(2, 3))
     return cost
 

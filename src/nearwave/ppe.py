@@ -46,8 +46,11 @@ __all__ = [
 def diff(signal: np.ndarray, axis: int) -> np.ndarray:
     """One conjugate-product difference along ``axis``; the extent shrinks by 1.
 
-    Output entry n is signal(n + e_axis) * conj(signal(n)), so a linear
-    phase along the axis becomes constant.
+    Output entry n is conj(signal(n)) * signal(n + e_axis), so a linear
+    phase along the axis becomes constant. The conjugate is the left operand
+    because numpy may reuse a large enough temporary in place, computing
+    ``conj *= upper``: with the temporary on the left, an array of any size is
+    multiplied in the same operand order, and a batch gets its rows' bits.
     """
     signal = np.asarray(signal)
     if signal.shape[axis] < 2:
@@ -55,7 +58,7 @@ def diff(signal: np.ndarray, axis: int) -> np.ndarray:
     upper = [slice(None)] * signal.ndim
     lower = list(upper)
     upper[axis], lower[axis] = slice(1, None), slice(None, -1)
-    return signal[tuple(upper)] * np.conj(signal[tuple(lower)])
+    return np.conj(signal[tuple(lower)]) * signal[tuple(upper)]
 
 
 def _passes(m) -> list[int]:

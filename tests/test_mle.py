@@ -180,10 +180,14 @@ def test_batched_cost_blocks_change_no_bit(monkeypatch, variant):
     params, base = random_starts(7, rng)
     params[:, 3:] = rng.normal(scale=0.1, size=(7, 3))
     default = batched_cost(y, SPEC, params, base, variant)
+    cost, grad = cost_and_grad(y, SPEC, params, base, variant)
     # one start per block, and one block for every start
     for entries in (1, 7 * SPEC.size + 1):
         monkeypatch.setattr(mle, "GRAD_BLOCK_ENTRIES", entries)
         assert np.array_equal(batched_cost(y, SPEC, params, base, variant), default)
+        blocked_cost, blocked_grad = cost_and_grad(y, SPEC, params, base, variant)
+        assert np.array_equal(blocked_cost, cost)
+        assert np.array_equal(blocked_grad, grad)
 
 
 def test_batched_cost_memory_does_not_grow_with_starts():

@@ -3,7 +3,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nearwave import ppe
@@ -525,8 +525,16 @@ def batched_peels(draw):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape), rows
 
 
+def _gaussian_batch(shape, max_degree):
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return y, degree_set_for_shape(max_degree, shape[1:])
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=batched_peels())
+# a 320 KiB batch of 4 KiB rows: numpy reuses a temporary in place above 256 KiB
+@example(case=_gaussian_batch((80, 16, 16), 2))
 def test_estimate_batch_equals_loop(case):
     y, rows = case
     batch = y.shape[:y.ndim - rows.shape[1]]
