@@ -175,7 +175,7 @@ def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
         dist, g, h, zh = (a[:len(r)] for a in work)
         R, dR = _rotation_and_jacobian(omega, grad is not None)
         rx, _ = _distances(spec, r, base_rotations[part] @ R, out=dist, scratch=g)
-        synth_from_distances(spec, r, dist, out=h)
+        synth_from_distances(spec, r, dist, out=h, work=zh)  # zh is idle until the gradient
         beta, cost[part] = _fit(y, h, variant)
         if grad is None:
             continue
@@ -195,7 +195,7 @@ def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
         gu = rx.reshape(w.shape[:2] + (3,)) * np.sum(w, axis=2)[..., None] - w @ tx
         grad[part, :3] = gu.sum(axis=1) + (amp / np.sum(r * r, axis=1))[:, None] * r
         # d cost / dR = M = sum g u p_rx^T over pairs, p_rx in the array frame
-        M = np.einsum("spi,pj->sij", gu, rx_local)
+        M = np.swapaxes(gu, 1, 2) @ rx_local
         dR = base_rotations[part, None] @ dR
         grad[part, 3:] = np.sum(dR * M[:, None], axis=(2, 3))
     return cost

@@ -20,6 +20,7 @@ from itertools import groupby, takewhile
 
 import numpy as np
 
+from .geometry import unit_phasor
 from .wavefront import (
     PolyPhaseModel,
     approx_channel,
@@ -186,9 +187,8 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
         if level is levels[-1]:
             break  # nothing reads the peeled signal after the last level
         for i, m in level:
-            cycles = coeffs[..., i].reshape(batch + (1,) * len(m)) * basis_on_support(lattice, m)
-            cycles -= np.round(cycles)  # whole cycles: exp need not reduce a large argument
-            work *= np.exp(-2j * np.pi * cycles)
+            cycles = -coeffs[..., i].reshape(batch + (1,) * len(m)) * basis_on_support(lattice, m)
+            work *= unit_phasor(cycles)
     return PolyPhaseModel(shape=lattice, degrees=rows, coeffs=coeffs)
 
 

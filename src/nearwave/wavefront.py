@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .geometry import ArraySpec, GeometryPose, frequency_factors, pair_offsets
+from .geometry import ArraySpec, GeometryPose, frequency_factors, pair_offsets, unit_phasor
 
 
 def binomial(n, k: int):
@@ -281,7 +281,7 @@ class PolyPhaseModel:
 
 def approx_channel(model: PolyPhaseModel) -> np.ndarray:
     """Unit-amplitude tensor exp(j * 2 pi * phase) of a polynomial phase model."""
-    return np.exp(2j * np.pi * model.phase_cycles())
+    return unit_phasor(model.phase_cycles())
 
 
 def fit_on_grid(coords, phase, shape, degrees) -> PolyPhaseModel:

@@ -29,6 +29,7 @@ from nearwave.geometry import (
     synth_batch,
     synth_from_distances,
     tx_positions,
+    unit_phasor,
 )
 from nearwave.presets import SPEC_PRESETS
 from nearwave.wavefront import normalized_offset
@@ -358,15 +359,65 @@ def test_synth_batch_bits_equal_the_textbook_formula(nf, df, unit):
     poses = [sample_pose(rng) for _ in range(4)]
     r, R = np.stack([p.r for p in poses]), np.stack([p.R for p in poses])
     d = np.linalg.norm(pair_offsets(spec, r, R), axis=-1)[..., None]
-    kappa = -2.0 * np.pi / spec.wavelength
-    expected = np.exp(1j * ((kappa * d) * frequency_factors(spec)))
+    amplitude = 1.0
     if not unit:
-        D = np.array([p.distance for p in poses]).reshape(-1, 1, 1, 1, 1, 1)
-        expected = (D / d) * expected
+        amplitude = np.array([p.distance for p in poses]).reshape(-1, 1, 1, 1, 1, 1) / d
+    expected = amplitude * unit_phasor(d * (frequency_factors(spec) * (-1.0 / spec.wavelength)))
     assert np.array_equal(synth_batch(spec, r, R, unit), expected)
     # the in-place path, into a workspace as the MLE's block kernel passes it
-    out = np.empty(expected.shape, dtype=complex)
-    assert np.array_equal(synth_from_distances(spec, r, d[..., 0], unit, out=out), expected)
+    out, work = (np.empty(expected.shape, dtype=complex) for _ in range(2))
+    assert np.array_equal(synth_from_distances(spec, r, d[..., 0], unit, out=out, work=work),
+                          expected)
+    # against the complex exp of the phase in radians: that phase's rounding, and exp's
+    # reduction of it, scale with its magnitude (measured up to 2.0 eps |phase| here)
+    phase = (-2.0 * np.pi / spec.wavelength * d) * frequency_factors(spec)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(expected - amplitude * np.exp(1j * phase))
+                  <= 4.0 * eps * (np.abs(phase) + 1.0) * np.abs(amplitude))
+
+
+# the largest |unit_phasor(c) - exp(2 pi j f)| measured, f = c - rint(c), over 2e7 uniform
+# draws of c each within +-0.5, +-1500, +-1e6 and +-1e12 cycles, is 4.0e-16 (1.8 eps)
+PHASOR_TOLERANCE = 5e-16
+cycle_arrays = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles=cycle_arrays)
+def test_unit_phasor_is_exp_of_the_reduced_phase(cycles):
+    phasor = unit_phasor(cycles)
+    reduced = cycles - np.rint(cycles)
+    assert np.all(np.abs(phasor - np.exp(2j * np.pi * reduced)) <= PHASOR_TOLERANCE)
+    assert np.all(np.abs(np.abs(phasor) - 1.0) <= 4.5e-16)
+    # whole cycles and half cycles, exactly
+    assert np.array_equal(unit_phasor(np.rint(cycles)), np.ones(len(cycles), dtype=complex))
+    assert np.array_equal(unit_phasor(np.rint(cycles) + 0.5).real, -np.ones(len(cycles)))
+
+
+def test_unit_phasor_special_values():
+    assert unit_phasor(np.zeros(3)).tolist() == [1 + 0j] * 3
+    assert np.array_equal(unit_phasor(np.array([0.5, -0.5, 2.5, -7.5])).real, -np.ones(4))
+    assert np.array_equal(unit_phasor(np.array([1.0, -3.0, 2.0**53])), np.ones(3, dtype=complex))
+    with np.errstate(invalid="ignore"):
+        bad = unit_phasor(np.array([np.nan, np.inf, -np.inf]))
+        assert np.all(np.isnan(np.exp(2j * np.pi * np.array([np.nan, np.inf, -np.inf]))))
+    assert np.all(np.isnan(bad.real) & np.isnan(bad.imag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycles=cycle_arrays, rows=st.integers(1, 4))
+def test_unit_phasor_buffers_and_batch_change_no_bit(cycles, rows):
+    batch = np.stack([cycles * (k + 1) for k in range(rows)])
+    fresh = unit_phasor(batch)
+    out, work = np.full(batch.shape, np.nan + 0j), np.full(batch.shape, np.nan + 0j)
+    assert unit_phasor(batch, out, work) is out
+    assert np.array_equal(out, fresh)
+    # the phase may already sit in the first half of work, as synthesis writes it
+    first_half = work.reshape(-1).view(float)[:batch.size].reshape(batch.shape)
+    first_half[...] = batch
+    assert np.array_equal(unit_phasor(first_half, work=work), fresh)
+    for row, phasor in zip(batch, fresh):
+        assert np.array_equal(unit_phasor(row), phasor)
 
 
 # 1 to 8 antennas per axis, spacings and translations scaled together from

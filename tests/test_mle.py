@@ -209,6 +209,27 @@ def test_batched_cost_memory_does_not_grow_with_starts():
 
 
 @pytest.mark.parametrize("variant", COST_VARIANTS)
+def test_block_kernel_allocates_no_channel_sized_array(variant):
+    # numpy reports its buffers to tracemalloc. Beyond the workspace, a warm gradient
+    # pass holds only numpy's iteration buffers (128 KiB each) and per-start arrays:
+    # 230 KiB measured. One float array of a block's pair distances is 256 KiB here,
+    # and the complex scratch that unit_phasor would otherwise allocate is 512 KiB.
+    spec = SPEC_PRESETS["ula32-ula32"]
+    y = synth(spec, TRUTH)
+    params, base = random_starts(129, np.random.default_rng(5))
+    cost_and_grad(y, spec, params, base, variant)
+    work = mle._workspace(spec, len(params))
+    workspace = sum(a.nbytes for a in work)
+    tracemalloc.start()
+    try:
+        cost_and_grad(y, spec, params, base, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < workspace + work[0].nbytes  # the margin: one float array of pair distances
+
+
+@pytest.mark.parametrize("variant", COST_VARIANTS)
 def test_cost_pass_equals_synthesis_then_fit(monkeypatch, variant):
     # blocks of two starts, so five starts leave a partial last block
     monkeypatch.setattr(mle, "GRAD_BLOCK_ENTRIES", 2 * SPEC.size)

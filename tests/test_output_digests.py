@@ -2,7 +2,10 @@ import importlib.util
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from nearwave.chanfile import write_channel
 
 spec = importlib.util.spec_from_file_location(
     "output_digests", Path(__file__).resolve().parents[1] / "tools" / "output_digests.py")
@@ -76,6 +79,28 @@ def test_compare_exits_1_unless_every_line_is_identical(tmp_path):
     write(b, "0-only/table.csv", "x\n1\n")
     assert exit_code(a, b) == 1
     assert exit_code(a, tmp_path / "missing") == 2  # a mistyped directory is no pass
+
+
+def test_compare_reports_the_largest_channel_entry_difference(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    h = np.exp(1j * np.arange(6.0)).reshape(1, 1, 3, 1, 2)
+    moved = h.copy()
+    moved[0, 0, 1, 0, 1] += 3e-12j
+    moved[0, 0, 2, 0, 0] -= 1e-12
+    for root, name, values in [(a, "same", h), (b, "same", h), (a, "moved", h),
+                               (b, "moved", moved), (a, "nan", h), (b, "nan", h * np.nan),
+                               (a, "shape", h), (b, "shape", h.reshape(1, 1, 2, 1, 3))]:
+        (root / name).mkdir(parents=True)
+        write_channel(root / name / "channel.bin", values)
+    assert output_digests.compare(str(a), str(b)) == [
+        "moved/channel.bin max |diff| 3e-12",
+        "nan/channel.bin max |diff| inf",
+        "same/channel.bin identical",
+        "shape/channel.bin differs: extents (1, 1, 3, 1, 2) against (1, 1, 2, 1, 3)",
+    ]
+    with pytest.raises(SystemExit) as stop:
+        output_digests.main(["--compare", str(a), str(b)])
+    assert stop.value.code == 1
 
 
 PINNED = Path(__file__).resolve().parents[1] / "tools" / "output_digests.txt"

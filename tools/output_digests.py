@@ -23,11 +23,12 @@ pinned lines only with a change that states why its bytes moved.
 
 ``--compare`` reads two kept directories and prints, for every column of
 every CSV file, ``identical`` or the largest absolute difference between
-the two files' numbers, and for every other file whether its digest is
-identical; a ``.meta`` pair that differs names the keys that moved. It
-exits 0 when every line reads ``identical`` and 1 otherwise, so it can
-gate a change that must keep every output byte. Uses the standard library
-and, to run the calls, nearwave and its numpy only.
+the two files' numbers, for every channel ``.bin`` file ``identical`` or
+the largest modulus of its entries' differences, and for every other file
+whether its digest is identical; a ``.meta`` pair that differs names the
+keys that moved. It exits 0 when every line reads ``identical`` and 1
+otherwise, so it can gate a change that must keep every output byte. Uses
+the standard library and, to run the calls, nearwave and its numpy only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import io
 import math
 import os
 import platform
+import struct
 import sys
 import tempfile
 
@@ -158,6 +160,26 @@ def column_differences(path_a: str, path_b: str) -> list[tuple[str, str]]:
     return out
 
 
+def channel_difference(path_a: str, path_b: str) -> str:
+    """``max |diff| <gap>`` of two channel files (``nearwave.chanfile``'s layout): the
+    largest modulus of the difference of two entries whose bytes differ, with NaN against
+    a number an infinite difference. Headers that differ, or a file that is not in that
+    layout, read ``differs``."""
+    heads, entries = [], []
+    for path in (path_a, path_b):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if len(data) < 40 or (len(data) - 40) % 16:
+            return "differs"
+        heads.append(struct.unpack_from("<5q", data))
+        entries.append(struct.iter_unpack("16s", data[40:]))
+    if heads[0] != heads[1]:
+        return f"differs: extents {heads[0]} against {heads[1]}"
+    gaps = [abs(complex(*struct.unpack("<dd", x)) - complex(*struct.unpack("<dd", y)))
+            for (x,), (y,) in zip(*entries) if x != y]
+    return f"max |diff| {max((math.inf if math.isnan(g) else g for g in gaps), default=0):.3g}"
+
+
 def files(root: str) -> set[str]:
     return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root)
             for f in names}
@@ -177,6 +199,8 @@ def compare(dir_a: str, dir_b: str) -> list[str]:
             lines.append(f"{rel} identical")
         elif rel.endswith(".meta"):
             lines.append(f"{rel} differs: {', '.join(moved_keys(a, b)) or 'line order'}")
+        elif rel.endswith(".bin"):
+            lines.append(f"{rel} {channel_difference(a, b)}")
         else:
             lines.append(f"{rel} differs")
     return lines
