@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import groupby, takewhile
+from math import prod
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .wavefront import (
     binomial,
     degree_rows,
     fit_on_grid,
-    term_order,
 )
 
 __all__ = [
@@ -56,10 +56,14 @@ def diff(signal: np.ndarray, axis: int) -> np.ndarray:
     signal = np.asarray(signal)
     if signal.shape[axis] < 2:
         raise ValueError(f"axis {axis} is exhausted (extent {signal.shape[axis]})")
-    upper = [slice(None)] * signal.ndim
-    lower = list(upper)
-    upper[axis], lower[axis] = slice(1, None), slice(None, -1)
-    return np.conj(signal[tuple(lower)]) * signal[tuple(upper)]
+    head = (slice(None),) * (axis % signal.ndim)
+    return np.conj(signal[head + (slice(None, -1),)]) * signal[head + (slice(1, None),)]
+
+
+def _phase_diff(phase: np.ndarray, axis: int) -> np.ndarray:
+    """``diff`` on phases in cycles: upper minus lower along ``axis``, not reduced."""
+    head = (slice(None),) * axis
+    return phase[head + (slice(1, None),)] - phase[head + (slice(None, -1),)]
 
 
 def _passes(m) -> list[int]:
@@ -118,43 +122,61 @@ def circular_average(signal: np.ndarray, m) -> complex:
     if len(m) != np.ndim(signal) or any(int(k) < 0 for k in m):
         raise ValueError(f"need one m_d >= 0 per axis of the signal rank {np.ndim(signal)}, "
                          f"got {tuple(m)}")
-    return complex(np.exp(2j * np.pi * _circular_average(_unit(np.asarray(signal)), m)))
+    unit = _unit(np.asarray(signal))
+    return complex(unit_phasor(_circular_average(unit.sum(), np.angle(unit) * (0.5 / np.pi), m)))
 
 
-def _circular_average(signal: np.ndarray, m):
-    """Phase in cycles, in [-0.5, 0.5], of ``circular_average`` of unit phasors, per row.
+def _leaf_pilot(parent: np.ndarray, m) -> np.ndarray:
+    """Per row, the sum of term m's differenced signal, from ``parent``, m before its last pass.
 
-    Rows are the leading axes, averaged over the trailing ``len(m)``. The weighted mean
-    contracts the residual phases with the 1-D weight factors one axis at a time, from the
-    first, skipping extent 1 (factor 1.0). Each row is its own vector-matrix product, so a
-    batch gets the bits of a loop.
+    ``parent`` has rows on its leading axes (the signal itself when m = 0). Viewed as rows of
+    (A, n B), with n its extent on the last pass axis and B the entries after it, that
+    difference pairs each row's first and last (n - 1) B entries: its sum is one conjugate
+    dot product per A, and the difference is never formed.
     """
-    batch, lattice = signal.shape[:signal.ndim - len(m)], signal.shape[signal.ndim - len(m):]
-    flat = signal.reshape(batch + (-1,))
-    pilot = flat.sum(axis=-1)
-    if np.any(pilot == 0):
+    batch = parent.shape[:parent.ndim - len(m)]
+    axis = next((len(batch) + d for d, k in enumerate(m) if k), None)
+    if axis is None:
+        return parent.reshape(batch + (-1,)).sum(axis=-1)
+    inner = prod(parent.shape[axis + 1:])
+    rows = parent.reshape(batch + (prod(parent.shape[len(batch):axis]), -1))
+    return np.vecdot(rows[..., :-inner], rows[..., inner:]).sum(axis=-1)
+
+
+def _circular_average(pilot: np.ndarray, phase: np.ndarray, m):
+    """Phase in cycles, in [-0.5, 0.5], of the weighted circular average, per row.
+
+    ``pilot`` sums each row's differenced unit phasors; ``phase``, rows on the leading axes,
+    holds their phases in cycles and is overwritten with the residuals r - rint(r) around the
+    pilot's angle. The weighted mean contracts them with the 1-D weight factors one axis at a
+    time, from the first, skipping extent 1 (factor 1.0). Each row is its own vector-matrix
+    product, so a batch gets the bits of a loop.
+    """
+    if not pilot.all():
         raise ValueError("projections cancel; pilot direction undefined")
-    residual = np.angle(flat * np.conj(pilot)[..., None])
-    kept = [(int(k), n) for k, n in zip(m, lattice) if n > 1]
-    mean = residual
-    for k, n in kept:
-        mean = np.matmul(_weights_1d(k, n + k), mean.reshape(batch + (n, -1)))
-    cycles = (np.angle(pilot) + mean.reshape(batch)) / (2.0 * np.pi)
+    batch, base = np.shape(pilot), np.angle(pilot) * (0.5 / np.pi)
+    residual = phase.reshape(batch + (-1,))
+    residual -= base[..., None]
+    residual -= np.rint(residual)
+    for k, n in [(int(k), n) for k, n in zip(m, phase.shape[phase.ndim - len(m):]) if n > 1]:
+        residual = np.matmul(_weights_1d(k, n + k), residual.reshape(batch + (n, -1)))
+    cycles = base + residual.reshape(batch)
     return cycles - np.round(cycles)
 
 
-def _shared_differences(signal: np.ndarray, ms, first_axis: int):
+def _shared_differences(signal: np.ndarray, ms, first_axis: int, step=diff, parents=False):
     """Yield diff_multi(signal, m) per m in ``ms``, axis d at first_axis + d, sharing passes.
 
-    Each m reuses the leading passes it shares with the previous one, so ``ms`` sorted by
-    ``_passes`` takes each distinct prefix once.
+    ``step(node, axis)`` takes one difference; with ``parents`` each m stops before its last
+    pass. Each m reuses the leading passes it shares with the previous one, so ``ms`` sorted
+    by ``_passes`` takes each distinct prefix once.
     """
     stack, previous = [signal], []  # stack[k]: the last m after its first k passes
     for m in ms:
-        passes = [first_axis + d for d in _passes(m)]
+        passes = [first_axis + d for d in _passes(m)][:-1 if parents else None]
         del stack[1 + len(list(takewhile(lambda pair: pair[0] == pair[1], zip(previous, passes)))):]
         for axis in passes[len(stack) - 1:]:
-            stack.append(diff(stack[-1], axis))
+            stack.append(step(stack[-1], axis))
         previous = passes
         yield stack[-1]
 
@@ -173,17 +195,19 @@ def estimate(y: np.ndarray, degrees) -> PolyPhaseModel:
     y = np.asarray(y, dtype=complex)
     rows = degree_rows(degrees, y.shape)
     batch, lattice = y.shape[:y.ndim - rows.shape[1]], y.shape[y.ndim - rows.shape[1]:]
-    order = sorted(range(rows.shape[0]), key=lambda i: term_order(rows[i]), reverse=True)
-    levels = [[(i, tuple(int(v) for v in rows[i])) for i in level]
-              for _, level in groupby(order, key=lambda i: rows[i].sum())]
+    total, listed = rows.sum(axis=1).tolist(), rows.tolist()
+    order = np.lexsort((*rows.T[::-1], total))[::-1].tolist()  # descending (|m|, m)
+    levels = [[(i, tuple(listed[i])) for i in level]
+              for _, level in groupby(order, key=total.__getitem__)]
     work = _unit(y)
     coeffs = np.empty(batch + (rows.shape[0],))
     for level in levels:
-        level_by_passes = sorted(level, key=lambda term: _passes(term[1]))
-        # bound until the next level: freed earlier, the stack lets the heap shrink and fault back
-        differenced = _shared_differences(work, [m for _, m in level_by_passes], len(batch))
-        for (i, m), signal in zip(level_by_passes, differenced):
-            coeffs[..., i] = _circular_average(signal, m)
+        index, ms = zip(*sorted(level, key=lambda term: _passes(term[1])))
+        # bound until the next level: freed earlier, the stacks let the heap shrink and fault back
+        parents = _shared_differences(work, ms, len(batch), diff, parents=True)
+        phases = _shared_differences(np.angle(work) * (0.5 / np.pi), ms, len(batch), _phase_diff)
+        for i, m in zip(index, ms):  # no loop variable holds a node past its term
+            coeffs[..., i] = _circular_average(_leaf_pilot(next(parents), m), next(phases), m)
         if level is levels[-1]:
             break  # nothing reads the peeled signal after the last level
         for i, m in level:
