@@ -189,43 +189,28 @@ def rotation_from_tangent(omega) -> np.ndarray:
     return rotation_from_tangent_batch(np.asarray(omega, dtype=float).reshape(1, 3))[0]
 
 
-def _rodrigues_terms(w: np.ndarray):
-    """skew(w), its square and the coefficients (sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3).
+def rotation_from_tangent_batch(omega: np.ndarray) -> np.ndarray:
+    """Rodrigues map applied to a batch of tangent vectors, shape (S, 3) -> (S, 3, 3)."""
+    return _rotation_and_jacobian(omega)[0]
 
-    ``w`` has shape (S, 3) and t = ||w||. Below t = 1e-9 the coefficients take
-    their limits 1, 1/2 and 1/6; each one's error there, O(t^2), is below
-    double rounding. The second is taken in half-angle form, which keeps its
-    precision as t shrinks; the third loses it, but only multiplies K^2.
+
+def _rotation_and_jacobian(omega: np.ndarray):
+    """The Rodrigues map R = I + a K + b K^2 of ``omega`` (S, 3) and its left Jacobian
+    J = I + b K + c K^2, each (S, 3, 3): a change d of omega turns R to expm(skew(J d)) R.
+
+    K = skew(omega), t = ||omega||, a = sin t / t, b = (1 - cos t) / t^2, c = (t - sin t) / t^3.
+    Below t = 1e-9 each takes its limit (1, 1/2, 1/6), within O(t^2), below double rounding.
+    b, in half-angle form, keeps its precision as t shrinks; c loses it, but only multiplies K^2.
     """
-    theta = np.linalg.norm(w, axis=1)
-    K = skew(w)
+    theta = np.linalg.norm(omega, axis=1)[:, None, None]
+    K = skew(omega)
+    K2 = K @ K
     small = theta < 1e-9
     t = np.where(small, 1.0, theta)
     a = np.where(small, 1.0, np.sin(t) / t)
     b = np.where(small, 0.5, 0.5 * (np.sin(t / 2.0) / (t / 2.0)) ** 2)
     c = np.where(small, 1.0 / 6.0, (1.0 - a) / t**2)
-    return K, K @ K, a[:, None, None], b[:, None, None], c[:, None, None]
-
-
-def rotation_from_tangent_batch(omega: np.ndarray) -> np.ndarray:
-    """Rodrigues map applied to a batch of tangent vectors, shape (S, 3) -> (S, 3, 3)."""
-    return _rotation_and_jacobian(omega, False)[0]
-
-
-def _rotation_and_jacobian(omega: np.ndarray, jacobian: bool):
-    """The Rodrigues map R of ``omega`` (S, 3) and, if ``jacobian``, its derivatives, else None.
-
-    Both come from one ``_rodrigues_terms`` call. Derivative [s, i] is skew(J e_i) @ R[s] with
-    J = I + b K + c K^2 the left Jacobian of the rotation group, the compact formula of
-    G. Gallego and A. Yezzi (J. Math. Imaging Vis., 2015) with (I - R) e_i expanded in K.
-    """
-    K, K2, a, b, c = _rodrigues_terms(np.asarray(omega, dtype=float))
-    R = np.eye(3)[None] + a * K + b * K2
-    if not jacobian:
-        return R, None
-    J = np.eye(3)[None] + b * K + c * K2
-    # skew of each column of J: [s, i] = skew(J[s, :, i])
-    return R, skew(np.swapaxes(J, 1, 2)) @ R[:, None]
+    return np.eye(3) + a * K + b * K2, np.eye(3) + b * K + c * K2
 
 
 def rotation_from_euler(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
@@ -239,10 +224,14 @@ def rotation_from_euler(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
 def rotation_jacobian_batch(omega: np.ndarray) -> np.ndarray:
     """Derivatives of the Rodrigues map, shape (S, 3) -> (S, 3, 3, 3).
 
-    Entry [s, i] is d expm(skew(w)) / d w_i at w = omega[s], taken in
-    closed form (``_rotation_and_jacobian``). At w = 0 it is exactly skew(e_i).
+    Entry [s, i] is d expm(skew(w)) / d w_i = skew(J e_i) @ R at w = omega[s], with R and the
+    left Jacobian J from ``_rotation_and_jacobian``: the compact formula of G. Gallego and
+    A. Yezzi (J. Math. Imaging Vis., 2015) with (I - R) e_i expanded in K. At w = 0 it is
+    exactly skew(e_i).
     """
-    return _rotation_and_jacobian(omega, True)[1]
+    R, J = _rotation_and_jacobian(omega)
+    # skew of each column of J: [s, i] = skew(J[s, :, i])
+    return skew(np.swapaxes(J, 1, 2)) @ R[:, None]
 
 
 def rotation_log(R: np.ndarray) -> np.ndarray:

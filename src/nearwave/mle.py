@@ -7,7 +7,7 @@ rotation, so the optimization runs over six unconstrained reals (r, omega).
 Each iteration takes every start's cost and closed-form gradient in one pass,
 in blocks of starts: distances without a pair-offset tensor, the channel
 synthesised in place, the attenuation fitted from dot products, and the chain
-rule from the cost through the pair distances to (r, omega).
+rule to (r, omega) through the forces on the receive antennas and their torque.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .geometry import (
     _rotation_and_jacobian,
     frequency_factors,
     rotation_from_tangent_batch,
-    rx_local_grid,
     sample_pose,  # re-exported: the benchmark's layer table wraps mle.sample_pose
     synth,
     synth_batch,
@@ -148,6 +147,13 @@ def beta_hat(y, spec: ArraySpec, pose: GeometryPose, variant: str = "complex_bet
     return complex(beta)
 
 
+def _observation(y, spec: ArraySpec) -> np.ndarray:
+    """``y`` as a complex array, checked to have the channel shape of ``spec``."""
+    if np.shape(y) != spec.shape:
+        raise ValueError(f"observation has shape {np.shape(y)}, the spec's channels {spec.shape}")
+    return np.asarray(y, dtype=complex)
+
+
 def _workspace(spec: ArraySpec, count: int):
     """One block's arrays for ``_cost_pass`` over ``count`` starts: pair distances,
     gradient weights (first the distances' scratch), the channel and its scratch."""
@@ -160,20 +166,21 @@ def _workspace(spec: ArraySpec, count: int):
 def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
     """Cost of each start at ``params`` (S, 6), and its gradient into ``grad`` if given.
 
-    Starts run in blocks the size of ``work`` (from ``_workspace``); no
-    start's numbers depend on its block. No block forms the pair offsets: the
-    gradient takes sum_ab w (rx - tx) as rx sum_ab w - sum_ab w tx, per start.
+    Starts run in blocks the size of ``work`` (from ``_workspace``); no start's numbers
+    depend on its block. No block forms the pair offsets: the force on receive antenna p,
+    gu_p = sum_b w (rx_p - tx_b), is rx_p sum_b w - sum_b w tx_b. The translation's gradient
+    is their sum plus the amplitude's term; the rotation's is (B J)^T tau, with the base
+    rotation B, the left Jacobian J and the forces' torque tau about r.
     """
     cost = np.empty(len(params))
     step = len(work[0])
     tx = tx_positions(spec).reshape(-1, 3)
-    rx_local = rx_local_grid(spec).reshape(-1, 3)
     phase_weight = 1j * ((-2.0 * np.pi / spec.wavelength) * frequency_factors(spec))
     for lo in range(0, len(params), step):
         part = slice(lo, lo + step)
         r, omega = params[part, :3], params[part, 3:]
         dist, g, h, zh = (a[:len(r)] for a in work)
-        R, dR = _rotation_and_jacobian(omega, grad is not None)
+        R, J = _rotation_and_jacobian(omega)
         rx, _ = _distances(spec, r, base_rotations[part] @ R, out=dist, scratch=g)
         synth_from_distances(spec, r, dist, out=h, work=zh)  # zh is idle until the gradient
         beta, cost[part] = _fit(y, h, variant)
@@ -194,10 +201,10 @@ def _cost_pass(y, spec, params, base_rotations, variant, work, grad=None):
         w = np.divide(g, dist, out=g).reshape(len(r), -1, len(tx))
         gu = rx.reshape(w.shape[:2] + (3,)) * np.sum(w, axis=2)[..., None] - w @ tx
         grad[part, :3] = gu.sum(axis=1) + (amp / np.sum(r * r, axis=1))[:, None] * r
-        # d cost / dR = M = sum g u p_rx^T over pairs, p_rx in the array frame
-        M = np.swapaxes(gu, 1, 2) @ rx_local
-        dR = base_rotations[part, None] @ dR
-        grad[part, 3:] = np.sum(dR * M[:, None], axis=(2, 3))
+        # the torque tau = sum (rx - r) x gu is the axial part of N = sum (rx - r) gu^T
+        N = np.swapaxes((rx - r[:, None, None]).reshape(gu.shape), 1, 2) @ gu
+        tau = (N - np.swapaxes(N, 1, 2))[:, (1, 2, 0), (2, 0, 1)]
+        grad[part, 3:] = (tau[:, None] @ base_rotations[part] @ J)[:, 0]
     return cost
 
 
@@ -209,7 +216,7 @@ def batched_cost(y, spec: ArraySpec, params, base_rotations, variant: str) -> np
     memory for any start count; each start's cost does not depend on the
     block it lands in.
     """
-    return _cost_pass(np.asarray(y, dtype=complex), spec, params, base_rotations, variant,
+    return _cost_pass(_observation(y, spec), spec, params, base_rotations, variant,
                       _workspace(spec, len(params)))
 
 
@@ -220,7 +227,7 @@ def cost_and_grad(y, spec: ArraySpec, params, base_rotations, variant: str):
     entries; each start's numbers do not depend on the block it lands in.
     """
     grad = np.empty_like(params)
-    return _cost_pass(np.asarray(y, dtype=complex), spec, params, base_rotations, variant,
+    return _cost_pass(_observation(y, spec), spec, params, base_rotations, variant,
                       _workspace(spec, len(params)), grad), grad
 
 
@@ -233,10 +240,13 @@ def optimize(y, spec: ArraySpec, config: MleConfig, init_poses):
     and their closed-form gradients in one pass. A start whose cost or
     gradient turns non-finite is frozen and marked diverged. Returns (best
     final pose, list of Trajectory), where the best is the non-diverged start
-    with the lowest final cost; raises DivergedError when every start diverged.
+    with the lowest final cost; raises DivergedError when every start diverged,
+    and ValueError for an empty ``init_poses`` or a ``y`` not of ``spec.shape``.
     """
-    y = np.asarray(y, dtype=complex)
+    y = _observation(y, spec)
     S = len(init_poses)
+    if S == 0:
+        raise ValueError("optimize needs at least one start in init_poses")
     params = np.zeros((S, 6))
     params[:, :3] = [p.r for p in init_poses]
     base_rotations = np.stack([p.R for p in init_poses])

@@ -271,12 +271,19 @@ def test_gradient_matches_offset_tensor_contraction(monkeypatch, variant):
     rng = np.random.default_rng(22)
     y = add_noise(synth(SPEC, TRUTH), 10.0, rng)
     params, base = random_starts(5, rng)
-    params[:, 3:] = rng.normal(scale=0.1, size=(5, 3))
-    grad = cost_and_grad(y, SPEC, params, base, variant)[1]
-    expected = offset_tensor_gradient(y, SPEC, params, base, variant)
-    # the two contractions round apart: on this draw the translation part sums
-    # terms up to 3e5 times its own size, as the cost barely changes along r
-    assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
+    # a generic draw, then every start at one tangent norm: zero, both sides of the
+    # 1e-9 small-angle switch of the rotation map, generic, and near pi
+    tangents = [rng.normal(scale=0.1, size=(5, 3))]
+    directions = rng.normal(size=(5, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    tangents += [norm * directions for norm in (0.0, 3e-10, 3e-9, 0.1, 3.0)]
+    for tangent in tangents:
+        params[:, 3:] = tangent
+        grad = cost_and_grad(y, SPEC, params, base, variant)[1]
+        expected = offset_tensor_gradient(y, SPEC, params, base, variant)
+        # the two contractions round apart: on these draws the translation part sums
+        # terms up to 3e5 times its own size, as the cost barely changes along r
+        assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -481,3 +488,18 @@ def test_config_validation():
             MleConfig(learning_rate=rate)
     with pytest.raises(ValueError):
         MleConfig(iterations=0)
+
+
+def test_entry_points_reject_an_observation_of_another_shape():
+    params, base = random_starts(1, np.random.default_rng(0))
+    y = synth(SPEC, TRUTH).reshape(SPEC.nrx, -1)
+    for call in (batched_cost, cost_and_grad):
+        with pytest.raises(ValueError, match=r"observation has shape \(2, 8\)"):
+            call(y, SPEC, params, base, "complex_beta")
+    with pytest.raises(ValueError, match=r"observation has shape \(2, 8\)"):
+        optimize(y, SPEC, MleConfig(num_starts=1, iterations=1), [TRUTH])
+
+
+def test_optimize_rejects_an_empty_start_list():
+    with pytest.raises(ValueError, match="at least one start"):
+        optimize(synth(SPEC, TRUTH), SPEC, MleConfig(num_starts=1, iterations=1), [])
